@@ -16,6 +16,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, DataError
 from .graph import channel_index
+from .model import channel_affinities
 
 
 def _readout_matrices(episode, dtype):
@@ -92,49 +93,43 @@ def per_layer_ce(graph, episode, channel=None):
     return losses
 
 
-def episodic_ce(graph, episode, channel=None):
-    """Total classification loss: the per-layer means, summed."""
-    losses = per_layer_ce(graph, episode, channel=channel)
-    out = losses[0]
-    for term in losses[1:]:
+def _add_all(terms):
+    """Sum of a non-empty list of tensors, in list order."""
+    out = terms[0]
+    for term in terms[1:]:
         out = T.add(out, term)
     return out
 
 
-def per_layer_manifold(graph):
-    """Structure terms per layer, one dict of enabled-channel scalars.
+def episodic_ce(graph, episode, channel=None):
+    """Total classification loss: the per-layer means, summed."""
+    return _add_all(per_layer_ce(graph, episode, channel=channel))
 
-    Layer l weighs its fresh affinities by the previous level's edge
-    values: the relative channel uses the relative-net scores, the
-    similar channel the pair-net scores, the dissimilar channel their
-    complement. Each term is a mean over all M*M pairs.
+
+def per_layer_manifold(graph):
+    """Structure terms per layer, each a (C,) tensor in channel order.
+
+    Layer l weighs its fresh channel affinities (``channel_affinities``,
+    the same ones its edge update rescaled by) by the previous level's
+    edge values; each channel's term is a mean over all M*M pairs.
     """
-    per_layer = []
-    for layer in range(1, graph.num_layers + 1):
-        prev = graph.edges[layer - 1]
-        rel_s = graph.rel_affinities[layer - 1]
-        pair_s = graph.pair_affinities[layer - 1]
-        terms = {}
-        for idx, ch in enumerate(graph.channels):
-            prev_ch = T.take_last(prev, idx)
-            if ch == "relative":
-                scores = rel_s
-            elif ch == "similar":
-                scores = pair_s
-            else:
-                scores = T.sub(1.0, pair_s)
-            terms[ch] = T.tensor_mean(T.mul(scores, prev_ch))
-        per_layer.append(terms)
-    return per_layer
+    return [
+        T.tensor_mean(
+            T.mul(
+                channel_affinities(graph.channels,
+                                   graph.rel_affinities[layer],
+                                   graph.pair_affinities[layer]),
+                graph.edges[layer],
+            ),
+            axis=(0, 1),
+        )
+        for layer in range(graph.num_layers)
+    ]
 
 
 def manifold_loss(graph):
     """Total structure-preservation loss over layers and channels."""
-    out = None
-    for terms in per_layer_manifold(graph):
-        for term in terms.values():
-            out = term if out is None else T.add(out, term)
-    return out
+    return T.tensor_sum(_add_all(per_layer_manifold(graph)))
 
 
 def total_loss(ce, structure, weight):
@@ -165,19 +160,15 @@ def report_losses(graph, episode, weight, channel=None):
     on, the report is safe to stash or serialize.
     """
     ce_terms = per_layer_ce(graph, episode, channel=channel)
-    ce = ce_terms[0]
-    for term in ce_terms[1:]:
-        ce = T.add(ce, term)
+    ce = _add_all(ce_terms)
     ml_layers = per_layer_manifold(graph)
-    ml = None
-    for terms in ml_layers:
-        for term in terms.values():
-            ml = term if ml is None else T.add(ml, term)
+    ml = T.tensor_sum(_add_all(ml_layers))
     total = total_loss(ce, ml, weight)
     report = LossReport(
         ce_per_layer=[float(t.data) for t in ce_terms],
         structure_per_layer=[
-            {ch: float(t.data) for ch, t in terms.items()} for terms in ml_layers
+            dict(zip(graph.channels, terms.data.tolist()))
+            for terms in ml_layers
         ],
         weight=float(weight),
         ce=float(ce.data),

@@ -347,19 +347,6 @@ def metric_scores(params, prefix, feats):
     return T.reshape(out, (m, m))
 
 
-def metric_score(params, prefix, a, b):
-    """Scalar affinity of one feature pair; symmetric in its arguments."""
-    a = T._as_tensor(a)
-    b = T._as_tensor(b)
-    d = a.shape[0]
-    pair = T.concat([T.reshape(a, (1, d)), T.reshape(b, (1, d))], axis=0)
-    mat = metric_scores(params, prefix, pair)
-    dtype = mat.dtype
-    pick_row = T.Tensor(np.array([[1.0, 0.0]], dtype=dtype))
-    pick_col = T.Tensor(np.array([[0.0], [1.0]], dtype=dtype))
-    return T.reshape(T.matmul(T.matmul(pick_row, mat), pick_col), ())
-
-
 def channel_normalize(edges):
     """Scale each pair's channel values to sum to one.
 
@@ -392,14 +379,52 @@ def normalize_channels_guarded(edges):
     return T.div(T.mul(edges, keep), safe)
 
 
+def _require_mass(mass, channels, what):
+    """Raise when any entry of an (M, 1, C) per-row, per-channel mass is
+    below the guard, naming the row and the channel of the smallest."""
+    if np.any(mass.data < DENOM_EPS):
+        i, _, c = np.unravel_index(int(np.argmin(mass.data)), mass.shape)
+        raise NumericError(f"{what} on row {i}, channel {channels[c]!r}")
+
+
+def _row_mass(edges, channels, what):
+    """Each row's total weight in each channel of an (M, M, C) edge
+    tensor, as (M, 1, C); an empty row is a numeric error."""
+    mass = T.tensor_sum(edges, axis=1, keepdims=True)
+    _require_mass(mass, channels, what)
+    return mass
+
+
+def channel_affinities(channels, rel_scores, pair_scores):
+    """The (M, M, C) affinity each enabled channel is rescaled by.
+
+    The relative channel takes the relative-net scores, the similar
+    channel the pair-net scores, and the dissimilar channel their
+    complement. This is the one place that maps a channel to its
+    affinity: the edge update and the structure loss both read it.
+    """
+    parts = []
+    for ch in channels:
+        if ch == "relative":
+            parts.append(rel_scores)
+        elif ch == "similar":
+            parts.append(pair_scores)
+        else:
+            parts.append(T.sub(1.0, pair_scores))
+    return T.stack_last(parts)
+
+
 def vertex_update(u_prev, v_prev, e_prev, params, layer):
     """Re-embed every vertex from its channel-weighted aggregates.
 
     The relative channel aggregates difference features, the label
     channels aggregate the vertex features themselves. Aggregates are
     concatenated in channel order and mapped through the vertex net.
-    Weights come from the pair-normalized edge values, or from
-    row-stochastic per-channel rows under ``neighbor`` normalization.
+    The (M, M, C) weights are computed once for all channels: the
+    pair-normalized edge values, or under ``neighbor`` normalization the
+    edges divided by their per-channel row mass, so each channel is
+    row-stochastic; a row with no mass in some channel is a numeric
+    error naming the row and the channel.
 
     ``e_prev`` is the edge tensor to pool over: ``forward`` passes the
     label-blind initial edges to layer 0, so visible labels cannot
@@ -408,23 +433,16 @@ def vertex_update(u_prev, v_prev, e_prev, params, layer):
     """
     cfg = params.config
     if cfg.aggregate_normalize == "channel":
-        norm = normalize_channels_guarded(e_prev)
-    parts = []
-    for idx, ch in enumerate(cfg.channels):
-        if cfg.aggregate_normalize == "channel":
-            weights = T.take_last(norm, idx)
-        else:
-            row = T.take_last(e_prev, idx)
-            mass = T.tensor_sum(row, axis=1, keepdims=True)
-            if np.any(mass.data < DENOM_EPS):
-                i = int(np.argmin(mass.data))
-                raise NumericError(
-                    f"vertex aggregation: zero row mass on row {i}, "
-                    f"channel {ch!r}"
-                )
-            weights = T.div(row, mass)
-        src = v_prev if ch == "relative" else u_prev
-        parts.append(T.matmul(weights, src))
+        weights = normalize_channels_guarded(e_prev)
+    else:
+        mass = _row_mass(e_prev, cfg.channels,
+                         "vertex aggregation: zero row mass")
+        weights = T.div(e_prev, mass)
+    parts = [
+        T.matmul(T.take_last(weights, idx),
+                 v_prev if ch == "relative" else u_prev)
+        for idx, ch in enumerate(cfg.channels)
+    ]
     if cfg.aggregate_self:
         parts.append(u_prev)
     x = T.concat(parts, axis=1)
@@ -442,28 +460,15 @@ def vertex_update(u_prev, v_prev, e_prev, params, layer):
     return u_next, relative_features(u_next)
 
 
-def _rescale_channel(scores, prev_ch, label):
-    """One channel of the edge update: scale old values by fresh
-    affinities, then divide by the row's affinity-weighted mean so a
-    uniformly-scored row is left unchanged."""
-    row_mass = T.tensor_sum(prev_ch, axis=1, keepdims=True)
-    if np.any(row_mass.data < DENOM_EPS):
-        i = int(np.argmin(row_mass.data))
-        raise NumericError(
-            f"edge update: zero total weight on row {i}, channel {label!r}"
-        )
-    scaled = T.mul(scores, prev_ch)
-    mean_score = T.div(T.tensor_sum(scaled, axis=1, keepdims=True), row_mass)
-    if np.any(mean_score.data < DENOM_EPS):
-        i = int(np.argmin(mean_score.data))
-        raise NumericError(
-            f"edge update: vanishing affinity mass on row {i}, channel {label!r}"
-        )
-    return T.div(scaled, mean_score)
-
-
 def edge_update(u_l, v_l, e_prev, params, layer, rel_scores=None, pair_scores=None):
     """Evolve every enabled channel, then re-normalize pairs.
+
+    One pass over the (M, M, C) tensor: old values are scaled by the
+    fresh channel affinities (``channel_affinities``), then divided by
+    their row's affinity-weighted mean, so a uniformly-scored row is
+    left unchanged. Row mass and mean are (M, 1, C); a row with no mass,
+    or with vanishing affinity mass, in some channel is a numeric error
+    naming the row and the channel.
 
     Affinity matrices may be passed in (stub networks in tests, reuse by
     the structure loss); by default they are computed from this layer's
@@ -474,18 +479,14 @@ def edge_update(u_l, v_l, e_prev, params, layer, rel_scores=None, pair_scores=No
         rel_scores = metric_scores(params, f"layer{layer}.relnet", v_l)
     if pair_scores is None and cfg.needs_pair_net:
         pair_scores = metric_scores(params, f"layer{layer}.pairnet", u_l)
-    parts = []
-    for idx, ch in enumerate(cfg.channels):
-        prev_ch = T.take_last(e_prev, idx)
-        if ch == "relative":
-            scores = rel_scores
-        elif ch == "similar":
-            scores = pair_scores
-        else:
-            scores = T.sub(1.0, pair_scores)
-        parts.append(_rescale_channel(scores, prev_ch, ch))
-    stacked = T.stack_last(parts)
-    return rel_scores, pair_scores, normalize_channels_guarded(stacked)
+    row_mass = _row_mass(e_prev, cfg.channels, "edge update: zero total weight")
+    scaled = T.mul(channel_affinities(cfg.channels, rel_scores, pair_scores),
+                   e_prev)
+    mean_score = T.div(T.tensor_sum(scaled, axis=1, keepdims=True), row_mass)
+    _require_mass(mean_score, cfg.channels,
+                  "edge update: vanishing affinity mass")
+    rescaled = T.div(scaled, mean_score)
+    return rel_scores, pair_scores, normalize_channels_guarded(rescaled)
 
 
 @dataclass

@@ -15,6 +15,7 @@ by finite-difference checks and evaluation.
 from __future__ import annotations
 
 import threading
+import weakref
 
 import numpy as np
 
@@ -46,6 +47,9 @@ class Tensor:
     ``grad`` is populated (same shape as ``data``) by ``backward`` for
     every tensor with ``requires_grad`` that took part in the recorded
     computation; it accumulates across backward passes until reset.
+    ``_tape`` is a weak reference to the recording tape: the tape holds
+    its outputs, so a strong back-reference would make every taped
+    computation a cycle that only the cyclic collector frees.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_tape")
@@ -132,6 +136,7 @@ class Tape:
 
     def __init__(self):
         self._nodes = []
+        self._ref = weakref.ref(self)
 
     def __enter__(self):
         _tape_stack().append(self)
@@ -153,7 +158,7 @@ class Tape:
             raise TypeError("loss must be a Tensor")
         if loss.shape != ():
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-        if loss._tape is not self:
+        if loss._tape is None or loss._tape() is not self:
             raise ValueError("loss was not recorded on this tape")
         loss.grad = np.ones((), dtype=loss.data.dtype)
         for out, inputs, vjp in reversed(self._nodes):
@@ -172,22 +177,6 @@ class Tape:
             for t in (out, *inputs):
                 if t.requires_grad and t.grad is None:
                     t.grad = np.zeros_like(t.data)
-
-
-def backward(loss):
-    """Run reverse-mode accumulation for a scalar loss recorded on a tape."""
-    if not isinstance(loss, Tensor):
-        raise TypeError("loss must be a Tensor")
-    if loss.shape != ():
-        raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if loss._tape is None:
-        raise ValueError("loss was not recorded on an active tape")
-    loss._tape.backward(loss)
-
-
-def zero_grads(tensors):
-    for t in tensors:
-        t.grad = None
 
 
 def _as_tensor(x, like=None):
@@ -213,7 +202,7 @@ def _emit(data, inputs, vjp):
     needs = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=needs)
     if needs:
-        out._tape = tape
+        out._tape = tape._ref
         tape._nodes.append((out, inputs, vjp))
     return out
 
@@ -490,12 +479,43 @@ def softmax(a, axis=-1):
     return div(e, tensor_sum(e, axis=axis, keepdims=True))
 
 
-def rowwise_l2_norm(a):
-    """Euclidean norm of each row of an m-by-d tensor."""
-    a = _as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"rowwise_l2_norm expects a 2-D tensor, got {a.shape}")
-    return sqrt(tensor_sum(mul(a, a), axis=1))
+def _central_differences(f, params, epsilon):
+    """Analytic and central-difference gradients of ``f`` for each
+    tensor in ``params``, as two lists of flat float64 arrays.
+
+    ``f`` evaluates the scalar loss from the current parameter values and
+    must be deterministic. Parameter grads are restored afterwards.
+    """
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    saved = [p.grad for p in params]
+    for p in params:
+        p.grad = None
+    with Tape() as tape:
+        loss = f()
+        tape.backward(loss)
+    analytic = [
+        np.zeros(p.size) if p.grad is None
+        else p.grad.reshape(-1).astype(np.float64)
+        for p in params
+    ]
+    for p, g in zip(params, saved):
+        p.grad = g
+
+    numeric = []
+    for p in params:
+        flat = p.data.reshape(-1)
+        num = np.zeros(flat.size)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + epsilon
+            hi = float(f().data)
+            flat[i] = orig - epsilon
+            lo = float(f().data)
+            flat[i] = orig
+            num[i] = (hi - lo) / (2.0 * epsilon)
+        numeric.append(num)
+    return analytic, numeric
 
 
 def grad_check_groups(f, named_params, epsilon=1e-5):
@@ -507,40 +527,14 @@ def grad_check_groups(f, named_params, epsilon=1e-5):
     whose per-coordinate ratios measure only roundoff.
     Returns {name: relative error}.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     named_params = dict(named_params)
-    tensors = list(named_params.values())
-    saved = [p.grad for p in tensors]
-    for p in tensors:
-        p.grad = None
-    with Tape() as tape:
-        loss = f()
-        tape.backward(loss)
-    analytic = {
-        name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
-        for name, p in named_params.items()
+    analytic, numeric = _central_differences(
+        f, list(named_params.values()), epsilon)
+    return {
+        name: float(np.linalg.norm(ana - num)
+                    / max(1e-8, np.linalg.norm(num)))
+        for name, ana, num in zip(named_params, analytic, numeric)
     }
-    for p, g in zip(tensors, saved):
-        p.grad = g
-
-    errors = {}
-    for name, p in named_params.items():
-        flat = p.data.reshape(-1)
-        numeric = np.zeros(flat.size)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            hi = float(f().data)
-            flat[i] = orig - epsilon
-            lo = float(f().data)
-            flat[i] = orig
-            numeric[i] = (hi - lo) / (2.0 * epsilon)
-        diff = analytic[name].reshape(-1) - numeric
-        errors[name] = float(
-            np.linalg.norm(diff) / max(1e-8, np.linalg.norm(numeric))
-        )
-    return errors
 
 
 def grad_check(f, params, epsilon=1e-5):
@@ -550,35 +544,7 @@ def grad_check(f, params, epsilon=1e-5):
     must be deterministic. Error per coordinate is
     ``|analytic - numeric| / max(1e-8, |numeric|)``.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    saved = [p.grad for p in params]
-    for p in params:
-        p.grad = None
-    with Tape() as tape:
-        loss = f()
-        tape.backward(loss)
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
-    for p, g in zip(params, saved):
-        p.grad = g
-
-    def eval_loss():
-        out = f()
-        return float(out.data)
-
-    worst = 0.0
-    for p, ana in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        aflat = ana.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            lo_hi = eval_loss()
-            flat[i] = orig - epsilon
-            lo_lo = eval_loss()
-            flat[i] = orig
-            numeric = (lo_hi - lo_lo) / (2.0 * epsilon)
-            rel = abs(aflat[i] - numeric) / max(1e-8, abs(numeric))
-            if rel > worst:
-                worst = rel
-    return worst
+    analytic, numeric = _central_differences(f, list(params), epsilon)
+    ana, num = np.concatenate(analytic), np.concatenate(numeric)
+    return float(np.max(np.abs(ana - num) / np.maximum(1e-8, np.abs(num)),
+                        initial=0.0))

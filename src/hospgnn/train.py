@@ -178,14 +178,6 @@ def load_checkpoint(path):
     )
 
 
-def _episode_accuracy(ds, params, cfg, rng, readout):
-    ep = sample_episode(
-        ds, cfg.n_way, cfg.k_shot, cfg.n_query, cfg.label_fraction, rng
-    )
-    graph = forward(ep, params)
-    return losses.accuracy(graph, ep, channel=readout)
-
-
 def evaluate(ds, params, cfg, episodes, seed=None, workers=1):
     """Mean query accuracy and 95% confidence half-width over episodes.
 

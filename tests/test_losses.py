@@ -193,7 +193,7 @@ class TestStructureLoss:
                     for j in range(m):
                         acc += by_name[ch][i, j] * prev[i, j, idx]
                 acc /= m * m
-                assert abs(float(terms[ch].data) - acc) < 1e-12
+                assert abs(float(terms.data[idx]) - acc) < 1e-12
                 want_total += acc
         got = float(manifold_loss(graph).data)
         assert abs(got - want_total) < 1e-12

@@ -16,7 +16,6 @@ from hospgnn.model import (
     embed,
     forward,
     init_params,
-    metric_score,
     metric_scores,
     normalize_channels_guarded,
     vertex_update,
@@ -271,7 +270,7 @@ class TestVertexUpdate:
         v = T.Tensor(rng.normal(size=(3, 3)))
         dead = rng.uniform(0.1, 1.0, size=(3, 3, 3))
         dead[1, :, 2] = 0.0
-        with pytest.raises(NumericError, match="row 1"):
+        with pytest.raises(NumericError, match="row 1, channel 'dissimilar'"):
             vertex_update(u, v, T.Tensor(dead), params, layer=0)
 
     def test_self_term_carries_own_features_through(self):
@@ -316,16 +315,6 @@ class TestMetricNets:
         feats = T.Tensor(np.random.default_rng(10).normal(size=(4, 5)))
         s = metric_scores(params, "layer0.pairnet", feats).data
         assert np.allclose(s, s.T, atol=1e-12)
-
-    def test_scalar_score_matches_matrix_entry(self, params):
-        rng = np.random.default_rng(11)
-        feats = rng.normal(size=(3, 8))
-        mat = metric_scores(
-            params, "layer1.pairnet", T.Tensor(feats)).data
-        one = metric_score(
-            params, "layer1.pairnet",
-            T.Tensor(feats[0]), T.Tensor(feats[1])).data
-        assert abs(float(one) - mat[0, 1]) < 1e-12
 
     def test_random_weights_give_nonconstant_scores(self, params):
         # zero-bias nets still vary with input through the weights
@@ -430,7 +419,7 @@ class TestEdgeUpdate:
         params, u, v, e = self.make_inputs(cfg)
         dead = e.data.copy()
         dead[2, :, 1] = 0.0
-        with pytest.raises(NumericError, match="row 2"):
+        with pytest.raises(NumericError, match="row 2, channel 'similar'"):
             edge_update(u, v, T.Tensor(dead), params, 0)
 
 
