@@ -315,21 +315,17 @@ def embed(episode, params):
     return T.leaky_relu(_linear(params, "encoder", feats), cfg.leaky_slope)
 
 
-def metric_net_input(feats, mode):
-    """Pair inputs for an affinity net, flattened to (M*M, in_dim)."""
-    m, d = feats.shape
-    if mode == "distance":
-        dist = pairwise_distances(feats)
-        return T.reshape(dist, (m * m, 1))
-    left = T.reshape(feats, (m, 1, d))
-    right = T.reshape(feats, (1, m, d))
-    diff = T.sub(left, right)
-    return T.reshape(T.absval(diff), (m * m, d))
-
-
 def metric_scores(params, prefix, feats):
     """Affinity of every vertex pair under one metric net, as (M, M)
     values at least SCORE_EPS away from 0 and 1.
+
+    Both net inputs are symmetric in (i, j) bitwise and zero on the
+    diagonal: the pair distance (``pairwise_distances``, built from
+    explicit row differences) or the per-dimension absolute difference.
+    So the net runs once per unordered pair, on the M(M - 1)/2
+    strict-upper pairs plus one zero row for the whole diagonal, as a
+    single fused node (``T.mlp_scores``), and the scores are spread back
+    symmetrically; the output is exactly symmetric.
 
     The margin matters: a raw sigmoid rounds to exactly 1.0 once its
     input passes ~37, and a channel scaled by the complement of a fully
@@ -338,13 +334,14 @@ def metric_scores(params, prefix, feats):
     while moving mid-range values by less than SCORE_EPS.
     """
     cfg = params.config
-    m = feats.shape[0]
-    x = metric_net_input(feats, cfg.metric_input)
-    h = T.leaky_relu(_linear(params, f"{prefix}.0", x), cfg.leaky_slope)
-    h = T.leaky_relu(_linear(params, f"{prefix}.1", h), cfg.leaky_slope)
-    out = T.sigmoid(_linear(params, f"{prefix}.2", h))
-    out = T.add(SCORE_EPS, T.mul(1.0 - 2.0 * SCORE_EPS, out))
-    return T.reshape(out, (m, m))
+    if cfg.metric_input == "distance":
+        x = T.upper_pairs(pairwise_distances(feats))
+    else:
+        x = T.pair_absdiff(feats)
+    weights = [params.t(f"{prefix}.{k}.{w}") for k in range(3) for w in "wb"]
+    scores = T.mlp_scores(x, *weights, slope=cfg.leaky_slope,
+                          margin=SCORE_EPS)
+    return T.symmetric_from_pairs(scores, feats.shape[0])
 
 
 def channel_normalize(edges):

@@ -14,6 +14,8 @@ by finite-difference checks and evaluation.
 
 from __future__ import annotations
 
+import collections
+import functools
 import threading
 import weakref
 
@@ -196,15 +198,36 @@ def _coerce_pair(a, b):
     return _as_tensor(a), _as_tensor(b)
 
 
+def _recording_tape(inputs):
+    """The tape an op on these inputs records onto, or None."""
+    tape = active_tape()
+    if tape is not None and any(t.requires_grad for t in inputs):
+        return tape
+    return None
+
+
 def _emit(data, inputs, vjp):
     """Wrap an op result, recording the adjoint when a tape wants it."""
-    tape = active_tape()
-    needs = tape is not None and any(t.requires_grad for t in inputs)
-    out = Tensor(data, requires_grad=needs)
-    if needs:
+    tape = _recording_tape(inputs)
+    out = Tensor(data, requires_grad=tape is not None)
+    if tape is not None:
         out._tape = tape._ref
         tape._nodes.append((out, inputs, vjp))
     return out
+
+
+def _sum_kept(x, axis):
+    """``x.sum(axis, keepdims=True)`` over one axis.
+
+    Over the last two axes of a channel-last (M, M, C) array each output
+    sums a few strided values, where numpy's reduction loop costs about
+    13 times more per element than a product with a ones vector; that
+    case runs as the product.
+    """
+    if x.ndim == 3 and axis in (1, 2):
+        ones = np.ones(x.shape[axis], dtype=x.dtype)
+        return np.expand_dims(x @ ones if axis == 2 else ones @ x, axis)
+    return x.sum(axis=axis, keepdims=True)
 
 
 def _unbroadcast(g, shape):
@@ -213,7 +236,7 @@ def _unbroadcast(g, shape):
         g = g.sum(axis=0)
     for ax, s in enumerate(shape):
         if s == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
+            g = _sum_kept(g, ax)
     if g.shape != shape:
         g = g.reshape(shape)
     return g
@@ -310,7 +333,12 @@ def _expand_like(g, shape, axes, keepdims):
 def tensor_sum(a, axis=None, keepdims=False):
     a = _as_tensor(a)
     axes = _axis_tuple(axis, a.ndim)
-    data = a.data.sum(axis=axes if axes else None, keepdims=keepdims)
+    if len(axes) == 1:
+        data = _sum_kept(a.data, axes[0])
+        if not keepdims:
+            data = data.squeeze(axes[0])
+    else:
+        data = a.data.sum(axis=axes if axes else None, keepdims=keepdims)
     shape = a.shape
 
     def vjp(g):
@@ -439,14 +467,20 @@ def absval(a):
     return _emit(data, (a,), vjp)
 
 
-def sigmoid(a):
-    a = _as_tensor(a)
-    x = a.data
+def _sigmoid_values(x):
+    """Logistic function without overflow: each sign takes the branch
+    whose exponential stays below one."""
     data = np.empty_like(x)
     pos = x >= 0
     data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     data[~pos] = ex / (1.0 + ex)
+    return data
+
+
+def sigmoid(a):
+    a = _as_tensor(a)
+    data = _sigmoid_values(a.data)
 
     def vjp(g):
         return (g * data * (1.0 - data),)
@@ -463,6 +497,207 @@ def leaky_relu(a, slope=0.01):
         return (np.where(x >= 0, g, slope * g),)
 
     return _emit(data, (a,), vjp)
+
+
+PairIndex = collections.namedtuple("PairIndex", "rows cols upper lower diag")
+
+
+@functools.lru_cache(maxsize=64)
+def pair_index(m):
+    """The unordered vertex pairs of an (m, m) matrix, as a PairIndex.
+
+    ``rows``/``cols`` are the strict upper triangle (i < j) in row-major
+    order, ``upper`` and ``lower`` the flat positions of (i, j) and
+    (j, i) in that pair order, ``diag`` the flat diagonal. Cached per
+    size; the arrays are read-only, so evaluation threads share them.
+    """
+    rows, cols = np.triu_indices(m, 1)
+    index = PairIndex(rows, cols, rows * m + cols, cols * m + rows,
+                      np.arange(m) * (m + 1))
+    for arr in index:
+        arr.flags.writeable = False
+    return index
+
+
+def upper_pairs(a):
+    """The strict-upper entries of an (M, M) tensor as a (P + 1, 1)
+    column, P = M(M - 1)/2, in ``pair_index`` order, followed by one zero
+    row that stands for the diagonal.
+
+    Meant for symmetric inputs with a zero diagonal (pair distances):
+    a per-pair net then runs once per unordered pair, and
+    ``symmetric_from_pairs`` spreads its P + 1 results back.
+    """
+    a = _as_tensor(a)
+    m = a.shape[0]
+    if a.shape != (m, m):
+        raise ShapeError(f"upper_pairs expects a square matrix, got {a.shape}")
+    upper = pair_index(m).upper
+    data = np.zeros((upper.size + 1, 1), dtype=a.dtype)
+    data[:-1, 0] = a.data.reshape(-1)[upper]
+
+    def vjp(g):
+        full = np.zeros(m * m, dtype=g.dtype)
+        full[upper] = g[:-1, 0]
+        return (full.reshape(m, m),)
+
+    return _emit(data, (a,), vjp)
+
+
+def pair_absdiff(a):
+    """|a_i - a_j| for every unordered pair of rows of an (M, d) tensor,
+    as (P + 1, d) rows in ``pair_index`` order plus one zero row for the
+    diagonal (|a_i - a_i| = 0). The value is symmetric in (i, j)
+    bitwise, since a difference and its negation share one magnitude."""
+    a = _as_tensor(a)
+    if a.ndim != 2:
+        raise ShapeError(f"pair_absdiff expects (M, d) rows, got {a.shape}")
+    m, d = a.shape
+    pairs = pair_index(m)
+    diff = np.take(a.data, pairs.rows, axis=0)
+    diff -= np.take(a.data, pairs.cols, axis=0)
+    data = np.zeros((pairs.upper.size + 1, d), dtype=a.dtype)
+    np.abs(diff, out=data[:-1])
+    sign = np.sign(diff)
+
+    def vjp(g):
+        per_pair = np.zeros((m * m, d), dtype=g.dtype)
+        per_pair[pairs.upper] = g[:-1] * sign
+        per_pair = per_pair.reshape(m, m, d)
+        return (per_pair.sum(axis=1) - per_pair.sum(axis=0),)
+
+    return _emit(data, (a,), vjp)
+
+
+def symmetric_from_pairs(s, m):
+    """The symmetric (m, m) matrix whose (i, j) and (j, i) entries are
+    pair value p of ``s`` (``pair_index`` order) and whose diagonal is
+    its last value; ``s`` has P + 1 entries, as ``upper_pairs`` rows.
+    Backward folds g + g^T onto the pairs and the trace onto the last."""
+    s = _as_tensor(s)
+    pairs = pair_index(m)
+    if s.shape != (pairs.upper.size + 1,):
+        raise ShapeError(f"{m} vertices need {pairs.upper.size + 1} pair "
+                         f"values, got {s.shape}")
+    data = np.empty(m * m, dtype=s.dtype)
+    data[pairs.upper] = s.data[:-1]
+    data[pairs.lower] = s.data[:-1]
+    data[pairs.diag] = s.data[-1]
+
+    def vjp(g):
+        flat = g.reshape(-1)
+        out = np.empty_like(s.data)
+        np.add(flat[pairs.upper], flat[pairs.lower], out=out[:-1])
+        out[-1] = flat[pairs.diag].sum()
+        return (out,)
+
+    return _emit(data.reshape(m, m), (s,), vjp)
+
+
+# rows of an (N, h) activation the pair kernels handle at once: their
+# scratch stays small and is reused, where whole (N, h) temporaries are
+# fresh pages on every call, whose page faults can cost more than the
+# arithmetic on them
+BLOCK_ROWS = 1024
+
+
+def row_blocks(n):
+    """Slices covering range(n) in blocks of BLOCK_ROWS."""
+    return [slice(start, min(start + BLOCK_ROWS, n))
+            for start in range(0, n, BLOCK_ROWS)]
+
+
+def _leaky_factors(negative, slope, out):
+    """Leaky-ReLU derivative from the mask of negative inputs: ``slope``
+    there and 1 elsewhere, written into ``out`` (exact, unlike
+    ``1 + (slope - 1) * mask``, and far faster than a masked ufunc)."""
+    np.multiply(negative, slope, out=out)
+    out += ~negative
+    return out
+
+
+def mlp_scores(x, w0, b0, w1, b1, w2, b2, slope=0.01, margin=0.0):
+    """A three-layer score net on the rows of ``x``, as one tape node.
+
+    Two leaky-ReLU layers (0 <= slope <= 1) and a sigmoid head with a
+    single output unit; each (N,) score is squeezed affinely into
+    [margin, 1 - margin]. Values and gradients equal those of the same
+    net built from ``matmul``/``add``/``leaky_relu``/``sigmoid``/``mul``
+    up to rounding. Rows are processed in blocks of BLOCK_ROWS. When
+    the call is recorded, the two hidden activations and their sign
+    masks are kept for backward, and nothing else; otherwise only the
+    block scratch is used.
+    """
+    x, w0, b0, w1, b1, w2, b2 = inputs = tuple(
+        _as_tensor(t) for t in (x, w0, b0, w1, b1, w2, b2))
+    if x.ndim != 2 or w2.shape[1:] != (1,):
+        raise ShapeError(
+            f"mlp_scores expects (N, d) rows and a one-unit head, got "
+            f"{x.shape} and {w2.shape}")
+    if not 0.0 <= slope <= 1.0:
+        raise ValueError(f"leaky slope must be in [0, 1], got {slope}")
+    n, dtype = x.shape[0], x.dtype
+    layers = ((w0, b0), (w1, b1))
+    widths = [w.shape[1] for w, _ in layers]
+    block = min(n, BLOCK_ROWS)
+    keep = _recording_tape(inputs) is not None
+    temp = [np.empty((block, k), dtype=dtype) for k in widths]
+    if keep:
+        hidden = [np.empty((n, k), dtype=dtype) for k in widths]
+        negative = [np.empty((n, k), dtype=bool) for k in widths]
+    else:
+        scratch = [np.empty((block, k), dtype=dtype) for k in widths]
+    z = np.empty(n, dtype=dtype)
+    # np.dot, not matmul: numpy runs a product with an inner or outer
+    # dimension of 1 (the distance input, the one-unit head) in its own
+    # loop, several times slower than BLAS
+    for rows in row_blocks(n):
+        h, size = x.data[rows], rows.stop - rows.start
+        for k, (w, b) in enumerate(layers):
+            out = hidden[k][rows] if keep else scratch[k][:size]
+            np.dot(h, w.data, out=out)
+            out += b.data
+            if keep:
+                np.less(out, 0, out=negative[k][rows])
+            # max(h, slope h) is the leaky ReLU for slopes in [0, 1]
+            np.maximum(out, np.multiply(out, slope, out=temp[k][:size]),
+                       out=out)
+            h = out
+        np.dot(h, w2.data[:, 0], out=z[rows])
+    z += b2.data
+    head = _sigmoid_values(z)
+    squeeze = 1.0 - 2.0 * margin
+    data = margin + squeeze * head
+
+    def vjp(g):
+        gz = ((g * squeeze) * head * (1.0 - head))[:, None]
+        grads = [np.zeros_like(t.data) for t in inputs[1:]]
+        gw0, gb0, gw1, gb1, gw2, gb2 = grads
+        gx = np.empty_like(x.data) if x.requires_grad else None
+        ones = np.ones(block, dtype=gz.dtype)
+        grad_buf, factor_buf = (
+            [np.empty((block, k), dtype=gz.dtype) for k in widths]
+            for _ in range(2))
+        for rows in row_blocks(n):
+            size = rows.stop - rows.start
+            g, one = gz[rows], ones[:size]
+            gw2 += np.dot(hidden[1][rows].T, g)
+            g1 = np.dot(g, w2.data.T, out=grad_buf[1][:size])
+            g1 *= _leaky_factors(negative[1][rows], slope,
+                                 factor_buf[1][:size])
+            gw1 += np.dot(hidden[0][rows].T, g1)
+            gb1 += np.dot(one, g1)
+            g0 = np.dot(g1, w1.data.T, out=grad_buf[0][:size])
+            g0 *= _leaky_factors(negative[0][rows], slope,
+                                 factor_buf[0][:size])
+            gw0 += np.dot(x.data[rows].T, g0)
+            gb0 += np.dot(one, g0)
+            if gx is not None:
+                np.dot(g0, w0.data.T, out=gx[rows])
+        gb2 += gz.sum()
+        return (gx, *grads)
+
+    return _emit(data, inputs, vjp)
 
 
 def softmax(a, axis=-1):

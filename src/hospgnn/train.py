@@ -224,9 +224,10 @@ def train(ds_train, ds_val, cfg: TrainConfig, workers=1, log=None):
 
     Per iteration: sample a batch of episodes, average their total-loss
     gradients, take one Adam step. Every eval_every iterations the model
-    is scored on validation episodes and the best snapshot kept. A NaN
-    loss aborts immediately rather than skipping the batch; skipping
-    hides gradient bugs.
+    is scored on validation episodes and the best snapshot kept. A
+    non-finite loss or parameter gradient aborts before the Adam step
+    rather than skipping the batch; skipping hides gradient bugs, and a
+    step would spread the NaN into every parameter.
     """
     params = init_params(cfg.model, seed=cfg.seed)
     readout = cfg.model.resolved_readout()
@@ -262,6 +263,11 @@ def train(ds_train, ds_val, cfg: TrainConfig, workers=1, log=None):
             raise NumericError(
                 f"non-finite loss {batch_loss} at iteration {iteration}"
             )
+        for name, p in params.tensors.items():
+            if p.grad is not None and not np.all(np.isfinite(p.grad)):
+                raise NumericError(
+                    f"non-finite gradient of {name} at iteration {iteration}"
+                )
         opt.step()
 
         if iteration % cfg.eval_every == 0 or iteration == cfg.total_iterations:

@@ -15,7 +15,6 @@ from hospgnn.graph import (
     pairwise_distances,
     parse_variant,
     relative_features,
-    shift_matrix,
 )
 
 
@@ -63,14 +62,16 @@ class TestRelativeFeatures:
         out = relative_features(T.Tensor(feats)).data
         assert np.allclose(out.sum(axis=0), 0.0, atol=1e-12)
 
-    def test_shift_matrix_rows(self):
-        d = shift_matrix(3)
-        assert np.array_equal(
-            d, [[1, -1, 0], [0, 1, -1], [-1, 0, 1]])
-
     def test_shift_needs_two_rows(self):
         with pytest.raises(ShapeError):
-            shift_matrix(1)
+            relative_features(T.Tensor(np.ones((1, 3))))
+
+    def test_float32_in_float32_out(self):
+        x = T.Tensor(np.ones((3, 2), dtype=np.float32), requires_grad=True)
+        with T.Tape() as tape:
+            out = relative_features(x)
+            tape.backward(T.tensor_sum(T.mul(out, out)))
+        assert out.dtype == np.float32 and x.grad.dtype == np.float32
 
     def test_gradient_flows_through_differences(self):
         x = T.Tensor(np.random.default_rng(1).normal(size=(4, 3)),
@@ -81,6 +82,13 @@ class TestRelativeFeatures:
             [x],
         )
         assert err < 1e-4
+
+
+def unfused_distances(feats):
+    """The per-op chain the one-node distance replaced."""
+    m, d = feats.shape
+    diff = T.sub(T.reshape(feats, (m, 1, d)), T.reshape(feats, (1, m, d)))
+    return T.sqrt(T.tensor_sum(T.mul(diff, diff), axis=2))
 
 
 class TestDistances:
@@ -97,6 +105,83 @@ class TestDistances:
         got = pairwise_distances(T.Tensor(feats)).data
         assert np.array_equal(got, got.T)
         assert np.array_equal(np.diag(got), np.zeros(6))
+
+    def test_one_node_matching_unfused_gradient(self):
+        # near rows (1e-6 apart) and a duplicated row: the folded (M, M)
+        # backward stays within eps |f| / d of the per-op chain, and
+        # zero distance keeps the zero subgradient sqrt gives
+        rng = np.random.default_rng(5)
+        feats = rng.normal(size=(6, 4))
+        feats[4] = feats[1] + 1e-6 * rng.normal(size=4)
+        feats[5] = feats[2]
+        weights = T.Tensor(rng.normal(size=(6, 6)))
+        grads, nodes = [], []
+        for fn in (pairwise_distances, unfused_distances):
+            x = T.Tensor(feats, requires_grad=True)
+            with T.Tape() as tape:
+                tape.backward(T.tensor_sum(T.mul(fn(x), weights)))
+            grads.append(x.grad)
+            nodes.append(len(tape))
+        assert nodes[0] == 3
+        scale = np.abs(grads[1]).max()
+        near = [1, 4]
+        far = [0, 2, 3, 5]
+        assert np.abs(grads[0][far] - grads[1][far]).max() < 1e-12 * scale
+        assert np.abs(grads[0][near] - grads[1][near]).max() < 1e-9 * scale
+
+    def test_row_blocks_match_unfused_chain(self):
+        # 60 rows give 1770 pairs: two row blocks, the second partial
+        rng = np.random.default_rng(9)
+        x = T.Tensor(rng.normal(size=(60, 5)), requires_grad=True)
+        weights = T.Tensor(rng.normal(size=(60, 60)))
+        values, grads = [], []
+        for fn in (pairwise_distances, unfused_distances):
+            x.grad = None
+            with T.Tape() as tape:
+                d = fn(x)
+                tape.backward(T.tensor_sum(T.mul(d, weights)))
+            values.append(d.data)
+            grads.append(x.grad)
+        assert np.abs(values[0] - values[1]).max() < 1e-14 * values[1].max()
+        assert np.abs(grads[0] - grads[1]).max() < 1e-12 * np.abs(
+            grads[1]).max()
+
+    def test_grad_check_with_near_and_duplicated_rows(self):
+        rng = np.random.default_rng(6)
+        weights = T.Tensor(rng.normal(size=(6, 6)))
+        generic = T.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        err = T.grad_check(
+            lambda: T.tensor_sum(T.mul(pairwise_distances(generic), weights)),
+            [generic], epsilon=1e-6)
+        assert err < 1e-5
+        feats = rng.normal(size=(6, 3))
+        feats[3] = feats[0] + 1e-6 * rng.normal(size=3)
+        feats[5] = feats[4]
+        x = T.Tensor(feats, requires_grad=True)
+        # steps well below the 1e-6 gap, so no difference crosses a kink
+        errs = T.grad_check_groups(
+            lambda: T.tensor_sum(T.mul(pairwise_distances(x), weights)),
+            {"x": x}, epsilon=1e-9)
+        assert errs["x"] < 1e-5
+
+    def test_duplicated_rows_have_zero_subgradient(self):
+        feats = np.random.default_rng(7).normal(size=(4, 3))
+        feats[3] = feats[1]
+        x = T.Tensor(feats, requires_grad=True)
+        pick = np.zeros((4, 4))
+        pick[1, 3] = pick[3, 1] = 1.0
+        with T.Tape() as tape:
+            loss = T.tensor_sum(T.mul(pairwise_distances(x), T.Tensor(pick)))
+            tape.backward(loss)
+        assert np.array_equal(x.grad, np.zeros((4, 3)))
+
+    def test_float32_in_float32_out(self):
+        x = T.Tensor(np.random.default_rng(8).normal(size=(5, 3)).astype(
+            np.float32), requires_grad=True)
+        with T.Tape() as tape:
+            d = pairwise_distances(x)
+            tape.backward(T.tensor_sum(d))
+        assert d.dtype == np.float32 and x.grad.dtype == np.float32
 
     def test_tiny_offsets_do_not_go_negative(self):
         # the Gram-matrix shortcut produces small negative squared

@@ -9,6 +9,7 @@ from hospgnn.errors import ConfigError, NumericError
 from hospgnn.graph import FULL_CHANNELS
 from hospgnn.losses import predict_labels, report_losses
 from hospgnn.model import (
+    SCORE_EPS,
     ModelConfig,
     channel_normalize,
     config_hash,
@@ -306,7 +307,7 @@ class TestMetricNets:
     def test_distance_input_makes_scores_symmetric(self, params):
         feats = T.Tensor(np.random.default_rng(9).normal(size=(6, 8)))
         s = metric_scores(params, "layer0.relnet", feats).data
-        assert np.allclose(s, s.T, atol=1e-12)
+        assert np.array_equal(s, s.T)
 
     def test_absdiff_input_also_symmetric(self):
         cfg = ModelConfig(feature_dim=5, use_encoder=False, hidden_dim=5,
@@ -314,7 +315,7 @@ class TestMetricNets:
         params = init_params(cfg, seed=4)
         feats = T.Tensor(np.random.default_rng(10).normal(size=(4, 5)))
         s = metric_scores(params, "layer0.pairnet", feats).data
-        assert np.allclose(s, s.T, atol=1e-12)
+        assert np.array_equal(s, s.T)
 
     def test_random_weights_give_nonconstant_scores(self, params):
         # zero-bias nets still vary with input through the weights
@@ -325,6 +326,68 @@ class TestMetricNets:
         feats = T.Tensor(np.random.default_rng(13).normal(size=(5, 8)))
         s = metric_scores(params, "layer0.pairnet", feats).data
         assert np.ptp(s) > 1e-6
+
+
+    @pytest.mark.parametrize("metric_input", ["distance", "absdiff"])
+    @pytest.mark.parametrize("metric_init", ["xavier", "kernel"])
+    def test_matches_dense_reference(self, metric_input, metric_init):
+        # the net over all M*M ordered pairs, one tape node per op
+        cfg = ModelConfig(feature_dim=6, use_encoder=False, hidden_dim=6,
+                          metric_hidden=10, metric_input=metric_input,
+                          metric_init=metric_init)
+        params = init_params(cfg, seed=6)
+        prefix = "layer1.pairnet"
+        names = [f"{prefix}.{k}.{w}" for k in range(3) for w in "wb"]
+        rng = np.random.default_rng(15)
+        for name in names:
+            # biases off zero, so the hidden units sit on both sides
+            p = params.t(name)
+            p.data = p.data + 0.2 * rng.standard_normal(p.shape)
+        feats = T.Tensor(rng.normal(size=(7, 6)))
+        weights = T.Tensor(rng.normal(size=(7, 7)))
+
+        def dense():
+            m, d = feats.shape
+            diff = T.sub(T.reshape(feats, (m, 1, d)),
+                         T.reshape(feats, (1, m, d)))
+            if metric_input == "distance":
+                dist = T.sqrt(T.tensor_sum(T.mul(diff, diff), axis=2))
+                x = T.reshape(dist, (m * m, 1))
+            else:
+                x = T.reshape(T.absval(diff), (m * m, d))
+            for k in range(2):
+                x = T.leaky_relu(T.add(T.matmul(x, params.t(f"{prefix}.{k}.w")),
+                                       params.t(f"{prefix}.{k}.b")),
+                                 cfg.leaky_slope)
+            out = T.sigmoid(T.add(T.matmul(x, params.t(f"{prefix}.2.w")),
+                                  params.t(f"{prefix}.2.b")))
+            out = T.add(SCORE_EPS, T.mul(1.0 - 2.0 * SCORE_EPS, out))
+            return T.reshape(out, (m, m))
+
+        results = []
+        for fn in (lambda: metric_scores(params, prefix, feats), dense):
+            params.zero_grads()
+            with T.Tape() as tape:
+                s = fn()
+                tape.backward(T.tensor_sum(T.mul(s, weights)))
+            results.append((s.data, [params.t(n).grad for n in names]))
+        (fused, fused_grads), (want, want_grads) = results
+        assert np.abs(fused - want).max() <= 1e-12
+        for name, a, b in zip(names, fused_grads, want_grads):
+            assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max()), name
+
+    @pytest.mark.parametrize("metric_input", ["distance", "absdiff"])
+    def test_tape_nodes_do_not_grow_with_m(self, metric_input):
+        cfg = ModelConfig(feature_dim=4, use_encoder=False, hidden_dim=4,
+                          metric_hidden=8, metric_input=metric_input)
+        params = init_params(cfg, seed=7)
+        counts = []
+        for m in (4, 16, 80):
+            feats = T.Tensor(np.random.default_rng(m).normal(size=(m, 4)))
+            with T.Tape() as tape:
+                metric_scores(params, "layer0.relnet", feats)
+            counts.append(len(tape))
+        assert counts[0] == counts[1] == counts[2] <= 4, counts
 
 
 class TestKernelSeededMetrics:

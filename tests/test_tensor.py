@@ -170,6 +170,127 @@ class TestBackward:
                 gc.enable()
 
 
+def dense_scores(x, weights, slope, margin):
+    """The unfused score net: one tape node per op."""
+    w0, b0, w1, b1, w2, b2 = weights
+    h = T.leaky_relu(T.add(T.matmul(x, w0), b0), slope)
+    h = T.leaky_relu(T.add(T.matmul(h, w1), b1), slope)
+    out = T.sigmoid(T.add(T.matmul(h, w2), b2))
+    return T.reshape(T.add(margin, T.mul(1.0 - 2.0 * margin, out)), (-1,))
+
+
+def score_weights(rng, d_in, hidden, dtype=np.float64):
+    shapes = [(d_in, hidden), (hidden,), (hidden, hidden), (hidden,),
+              (hidden, 1), (1,)]
+    return [T.Tensor(rng.normal(size=s).astype(dtype), requires_grad=True)
+            for s in shapes]
+
+
+def near_rows(rng, m, d):
+    """Random rows with row 1 a 1e-6 step from row 0 and the last row a
+    copy of row 2."""
+    a = rng.normal(size=(m, d))
+    a[1] = a[0] + 1e-6 * rng.normal(size=d)
+    a[-1] = a[2]
+    return a
+
+
+class TestPairOps:
+    def test_pair_index_order(self):
+        p = T.pair_index(4)
+        assert p.rows.tolist() == [0, 0, 0, 1, 1, 2]
+        assert p.cols.tolist() == [1, 2, 3, 2, 3, 3]
+        assert np.array_equal(p.upper, p.rows * 4 + p.cols)
+        assert np.array_equal(p.lower, p.cols * 4 + p.rows)
+        assert p.diag.tolist() == [0, 5, 10, 15]
+        assert T.pair_index(4) is p
+        assert not p.upper.flags.writeable
+
+    def test_upper_pairs_and_symmetric_round_trip(self):
+        s = np.arange(7.0)
+        full = T.symmetric_from_pairs(t(s), 4).data
+        assert np.array_equal(full, full.T)
+        assert np.array_equal(np.diag(full), [6.0] * 4)
+        assert full[1, 3] == s[4]
+        col = T.upper_pairs(t(full)).data
+        assert col.shape == (7, 1)
+        assert np.array_equal(col[:-1, 0], s[:-1]) and col[-1, 0] == 0.0
+
+    def test_pair_absdiff_rows(self):
+        a = np.random.default_rng(1).normal(size=(4, 3))
+        out = T.pair_absdiff(t(a)).data
+        p = T.pair_index(4)
+        assert out.shape == (7, 3)
+        assert np.array_equal(out[:-1], np.abs(a[p.rows] - a[p.cols]))
+        assert np.array_equal(out[-1], np.zeros(3))
+
+    def test_grad_checks(self):
+        rng = np.random.default_rng(2)
+        a = t(near_rows(rng, 5, 3))
+        sq = t(rng.normal(size=(5, 5)))
+        s = t(rng.normal(size=11))
+        cases = [
+            # steps below the 1e-6 gap: no absolute difference flips sign
+            (T.pair_absdiff, a, (11, 3), 1e-8),
+            (T.upper_pairs, sq, (11, 1), 1e-6),
+            (lambda v: T.symmetric_from_pairs(v, 5), s, (5, 5), 1e-6),
+        ]
+        for op, x, shape, eps in cases:
+            w = t(rng.normal(size=shape), grad=False)
+            err = T.grad_check_groups(
+                lambda: T.tensor_sum(T.mul(op(x), w)), {"x": x}, epsilon=eps)
+            assert err["x"] < 1e-6
+
+    def test_mlp_scores_grad_check(self):
+        rng = np.random.default_rng(3)
+        x = t(near_rows(rng, 6, 3))
+        weights = score_weights(rng, 3, 5)
+        err = T.grad_check_groups(
+            lambda: T.tensor_sum(T.mul(T.mlp_scores(x, *weights, slope=0.1,
+                                                     margin=1e-7),
+                                       t(np.arange(6.0), False))),
+            {str(i): p for i, p in enumerate([x] + weights)})
+        assert max(err.values()) < 1e-6, err
+
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 1.0])
+    def test_mlp_scores_matches_unfused_chain(self, slope):
+        # three row blocks, the last one partial
+        n = 2 * T.BLOCK_ROWS + 37
+        rng = np.random.default_rng(4)
+        x = t(rng.normal(size=(n, 3)))
+        weights = score_weights(rng, 3, 8)
+        g = rng.normal(size=n)
+        outs, grads = [], []
+        for fn in (lambda: T.mlp_scores(x, *weights, slope=slope,
+                                        margin=1e-7),
+                   lambda: dense_scores(x, weights, slope, 1e-7)):
+            for p in [x] + weights:
+                p.grad = None
+            with T.Tape() as tape:
+                out = fn()
+                tape.backward(T.tensor_sum(T.mul(out, t(g, False))))
+            outs.append(out.data)
+            grads.append([p.grad for p in [x] + weights])
+        assert np.abs(outs[0] - outs[1]).max() <= 1e-12
+        for a, b in zip(*grads):
+            assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+
+    def test_float32_in_float32_out(self):
+        rng = np.random.default_rng(5)
+        a = T.Tensor(rng.normal(size=(4, 3)).astype(np.float32),
+                     requires_grad=True)
+        weights = score_weights(rng, 4, 5, dtype=np.float32)
+        with T.Tape() as tape:
+            gram = T.matmul(a, T.reshape(a, (3, 4)))
+            x = T.concat([T.pair_absdiff(a), T.upper_pairs(gram)], axis=1)
+            s = T.mlp_scores(x, *weights, slope=0.01, margin=1e-7)
+            full = T.symmetric_from_pairs(s, 4)
+            tape.backward(T.tensor_sum(full))
+        assert {x.dtype, s.dtype, full.dtype, a.grad.dtype} == {
+            np.dtype(np.float32)}
+        assert all(w.grad.dtype == np.float32 for w in weights)
+
+
 PRIMITIVES = [
     ("add", lambda x, y: T.tensor_sum(T.add(x, y))),
     ("sub", lambda x, y: T.tensor_sum(T.sub(x, y))),
@@ -201,6 +322,20 @@ def test_every_primitive_passes_grad_check(name, fn):
     y = t(rng.normal(size=(4, 3)))
     err = T.grad_check(lambda: fn(x, y), [x, y])
     assert err < 1e-4, f"{name}: {err}"
+
+
+@pytest.mark.parametrize("axis", [1, 2])
+def test_channel_last_sums_match_numpy(axis):
+    # (M, M, C) sums over axis 1 or 2 run as products with ones
+    x = t(np.random.default_rng(12).normal(size=(5, 5, 3)))
+    got = T.tensor_sum(x, axis=axis, keepdims=True).data
+    assert np.allclose(got, x.data.sum(axis=axis, keepdims=True),
+                       rtol=0, atol=1e-14)
+    assert T.tensor_sum(x, axis=axis).shape == got.squeeze(axis).shape
+    scale = t(np.random.default_rng(13).normal(size=got.shape), grad=False)
+    err = T.grad_check(lambda: T.tensor_sum(T.div(x, T.add(T.mul(
+        T.tensor_sum(x, axis=axis, keepdims=True), scale), 10.0))), [x])
+    assert err < 1e-6
 
 
 def test_broadcast_gradients_reduce_correctly():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from hospgnn import tensor as T
+from hospgnn import losses, tensor as T
 from hospgnn.data import make_rng, sample_episode, synth_clusters
-from hospgnn.errors import ConfigError, DataError
+from hospgnn.errors import ConfigError, DataError, NumericError
 from hospgnn.losses import episodic_ce, manifold_loss, predict_labels, total_loss
 from hospgnn.model import ModelConfig, forward, init_params
 from hospgnn.train import (
@@ -209,6 +209,23 @@ class TestTrainLoop:
         fresh = init_params(cfg.model, seed=cfg.seed)
         for name in best.arrays:
             assert np.array_equal(best.arrays[name], fresh.t(name).data)
+
+    def test_non_finite_gradient_stops_before_the_step(self, train_pool,
+                                                       val_pool, monkeypatch):
+        # a zero-valued term whose backward yields NaN: the loss stays
+        # finite, every parameter gradient does not
+        original = losses.total_loss
+
+        def poisoned(ce, structure, weight):
+            total = original(ce, structure, weight)
+            zero = T._emit(np.zeros((), dtype=total.dtype), (total,),
+                           lambda g: (np.full_like(g, np.nan),))
+            return T.add(total, zero)
+
+        monkeypatch.setattr(losses, "total_loss", poisoned)
+        with pytest.raises(NumericError,
+                           match=r"gradient of encoder\.w at iteration 1$"):
+            train(train_pool, val_pool, small_cfg(total_iterations=2))
 
     def test_target_accuracy_stops_early(self, train_pool, val_pool):
         cfg = small_cfg(total_iterations=50, eval_every=1,
