@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 from hospgnn.cli import main as hospgnn_main
+from hospgnn.data import synth_benchmark, write_dataset
 
 AXES = ("variant", "layers", "loss", "structure_weight", "label_fraction")
 
@@ -18,18 +19,10 @@ AXES = ("variant", "layers", "loss", "structure_weight", "label_fraction")
 def run(out_dir, seed, iterations):
     out_dir.mkdir(parents=True, exist_ok=True)
     splits = {}
-    for name, classes, split_seed in (("train", 20, seed),
-                                      ("val", 8, seed + 1),
-                                      ("test", 8, seed + 2)):
-        path = out_dir / f"{name}.emb"
-        rc = hospgnn_main([
-            "synth", "--classes", str(classes), "--per-class", "30",
-            "--dim", "16", "--sep", "6", "--seed", str(split_seed),
-            "--out", str(path),
-        ])
-        if rc != 0:
-            return rc
-        splits[name] = path
+    for name, ds in zip(("train", "val", "test"), synth_benchmark(
+            20, 8, 8, per_class=30, dim=16, sep=6.0, seed=seed)):
+        splits[name] = out_dir / f"{name}.emb"
+        write_dataset(ds, splits[name])
 
     for axis in AXES:
         base = [

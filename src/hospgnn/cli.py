@@ -12,16 +12,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
+import typing
 from pathlib import Path
 
 from . import __version__
 from .data import load_dataset, synth_clusters, write_dataset
 from .errors import ConfigError, DataError, NumericError
-from .graph import parse_variant
-from .model import ModelConfig
+from .graph import CHANNEL_ORDER, FULL_CHANNELS, parse_variant
+from .model import FIELD_CHOICES, ModelConfig
 from .train import (
     ABLATION_AXES,
     TrainConfig,
@@ -62,91 +64,87 @@ def build_manifest(cfg: TrainConfig, inputs, outputs, extra=None):
     return manifest
 
 
-def _add_episode_flags(p):
-    p.add_argument("--n-way", type=int, default=5)
-    p.add_argument("--k-shot", type=int, default=1)
-    p.add_argument("--queries", type=int, default=15,
-                   help="queries per class")
-    p.add_argument("--label-fraction", type=float, default=1.0)
+# Every run option is a field of the config that owns it; the field
+# gives the flag's type and default, and FIELD_CHOICES its choices.
+EPISODE_OPTIONS = ("n_way", "k_shot", "n_query", "label_fraction")
+MODEL_OPTIONS = (
+    "layers", "hidden_dim", "encoder_dim", "use_encoder", "metric_hidden",
+    "metric_input", "metric_init", "metric_bandwidth", "aggregate_normalize",
+    "aggregate_self", "channels", "readout_channel", "standardize_vertex",
+    "dtype",
+)
+TRAIN_OPTIONS = (
+    "structure_weight", "learning_rate", "weight_decay", "batch_episodes",
+    "total_iterations", "eval_every", "eval_episodes", "target_accuracy",
+)
 
-
-def _add_model_flags(p):
-    p.add_argument("--layers", type=int, default=3)
-    p.add_argument("--hidden-dim", type=int, default=32)
-    p.add_argument("--encoder-dim", type=int, default=32)
-    p.add_argument("--no-encoder", action="store_true")
-    p.add_argument("--metric-hidden", type=int, default=96)
-    p.add_argument("--metric-input", choices=("distance", "absdiff"),
-                   default="distance")
-    p.add_argument("--metric-init", choices=("xavier", "kernel"),
-                   default="xavier")
-    p.add_argument("--metric-bandwidth", type=float, default=0.5)
-    p.add_argument("--aggregate-normalize", choices=("channel", "neighbor"),
-                   default="channel")
-    p.add_argument("--aggregate-self", action="store_true",
-                   help="append each vertex's own features to its aggregate")
-    p.add_argument("--variant", default="full",
-                   help="enabled edge channels: full, or letters from r/s/d")
-    p.add_argument("--readout-channel", default="auto",
-                   choices=("auto", "relative", "similar", "dissimilar"))
-    p.add_argument("--standardize-vertex", action="store_true")
-    p.add_argument("--precision", choices=("float64", "float32"),
-                   default="float64")
-
-
-def _add_train_flags(p):
-    p.add_argument("--lambda", dest="structure_weight", type=float,
-                   default=1e-5, help="structure loss weight")
-    p.add_argument("--learning-rate", type=float, default=5e-4)
-    p.add_argument("--weight-decay", type=float, default=1e-6)
-    p.add_argument("--batch", type=int, default=40,
-                   help="episodes per optimizer step")
-    p.add_argument("--iterations", type=int, default=1000)
-    p.add_argument("--eval-every", type=int, default=100)
-    p.add_argument("--eval-episodes", type=int, default=50)
-    p.add_argument("--target-accuracy", type=float, default=None,
-                   help="stop once validation accuracy reaches this")
-
-
-# config-file keys to argparse dests; keys may use either the config
-# field name or the flag spelling
-_CONFIG_KEY_DESTS = {
-    "seed": "seed",
-    "workers": "workers",
-    "n_way": "n_way",
-    "k_shot": "k_shot",
+# flag spellings that differ from the field name; a config file accepts
+# either spelling. use_encoder is switched off by --no-encoder, and
+# channels are given as --variant letters (or a "channels" list)
+FLAG_NAMES = {
     "n_query": "queries",
-    "queries": "queries",
-    "label_fraction": "label_fraction",
-    "structure_weight": "structure_weight",
-    "lambda": "structure_weight",
-    "learning_rate": "learning_rate",
-    "weight_decay": "weight_decay",
+    "structure_weight": "lambda",
     "batch_episodes": "batch",
-    "batch": "batch",
     "total_iterations": "iterations",
-    "iterations": "iterations",
-    "eval_every": "eval_every",
-    "eval_episodes": "eval_episodes",
-    "target_accuracy": "target_accuracy",
-    "layers": "layers",
-    "hidden_dim": "hidden_dim",
-    "encoder_dim": "encoder_dim",
-    "metric_hidden": "metric_hidden",
-    "metric_input": "metric_input",
-    "metric_init": "metric_init",
-    "metric_bandwidth": "metric_bandwidth",
-    "aggregate_normalize": "aggregate_normalize",
-    "aggregate_self": "aggregate_self",
-    "variant": "variant",
-    "readout_channel": "readout_channel",
-    "precision": "precision",
     "dtype": "precision",
-    "standardize_vertex": "standardize_vertex",
-    "use_encoder": "use_encoder",
+    "channels": "variant",
 }
 
-_LETTER_FOR_CHANNEL = {"relative": "r", "similar": "s", "dissimilar": "d"}
+FLAG_HELP = {
+    "n_query": "queries per class",
+    "aggregate_self": "append each vertex's own features to its aggregate",
+    "channels": "enabled edge channels: full, or letters from r/s/d",
+    "structure_weight": "structure loss weight",
+    "batch_episodes": "episodes per optimizer step",
+    "target_accuracy": "stop once validation accuracy reaches this",
+}
+
+# config-file key to option name
+CONFIG_KEYS = {
+    key: name
+    for name in ("seed", "workers") + EPISODE_OPTIONS + MODEL_OPTIONS
+    + TRAIN_OPTIONS
+    for key in (name, FLAG_NAMES.get(name, name))
+}
+
+
+def _variant_name(channels):
+    """The --variant spelling of a sequence of channel names."""
+    channels = tuple(channels)
+    if not set(channels) <= set(CHANNEL_ORDER):
+        raise ConfigError(f"bad channel set {channels!r}")
+    if channels == FULL_CHANNELS:
+        return "full"
+    return "".join(ch[0] for ch in channels)
+
+
+def _add_run_flags(p):
+    configs = (ModelConfig, TrainConfig)
+    kinds = {name: kind for cls in configs
+             for name, kind in typing.get_type_hints(cls).items()}
+    defaults = {f.name: f.default for cls in configs
+                for f in dataclasses.fields(cls)}
+    for name in EPISODE_OPTIONS + MODEL_OPTIONS + TRAIN_OPTIONS:
+        kind, default = kinds[name], defaults[name]
+        spelling = FLAG_NAMES.get(name, name)
+        flag = "--" + spelling.replace("_", "-")
+        help_text = FLAG_HELP.get(name)
+        choices = FIELD_CHOICES.get(name)
+        # usage shows the flag's spelling, not the field name
+        metavar = None if choices else spelling.upper()
+        if name == "use_encoder":
+            p.add_argument("--no-encoder", action="store_true",
+                           default=not default)
+        elif kind is bool:
+            p.add_argument(flag, dest=name, action="store_true",
+                           default=default, help=help_text)
+        elif name == "channels":
+            p.add_argument(flag, dest=name, default=_variant_name(default),
+                           metavar=metavar, help=help_text)
+        else:
+            p.add_argument(flag, dest=name, default=default, help=help_text,
+                           type=None if kind is str else kind,
+                           choices=choices, metavar=metavar)
 
 
 def load_config_defaults(path):
@@ -170,17 +168,15 @@ def load_config_defaults(path):
 
     defaults = {}
     for key, value in flat.items():
-        dest = _CONFIG_KEY_DESTS.get(key)
-        if dest is None:
-            if key == "channels":
-                value = "".join(_LETTER_FOR_CHANNEL[c] for c in value)
-                defaults["variant"] = value
-                continue
+        name = CONFIG_KEYS.get(key)
+        if name is None:
             raise ConfigError(f"config file {path}: unknown key {key!r}")
-        if dest == "use_encoder":
+        if name == "use_encoder":
             defaults["no_encoder"] = not bool(value)
+        elif key == "channels":
+            defaults[name] = _variant_name(value)
         else:
-            defaults[dest] = value
+            defaults[name] = value
     return defaults
 
 
@@ -224,9 +220,7 @@ def make_parser(config_defaults=None):
     p.add_argument("--train", type=Path, required=True, dest="train_path")
     p.add_argument("--val", type=Path, required=True, dest="val_path")
     p.add_argument("--test", type=Path, default=None, dest="test_path")
-    _add_episode_flags(p)
-    _add_model_flags(p)
-    _add_train_flags(p)
+    _add_run_flags(p)
     p.add_argument("--out-dir", type=Path, default=Path("run"))
     finish(p)
 
@@ -246,9 +240,7 @@ def make_parser(config_defaults=None):
                    choices=ABLATION_AXES + ("loss",))
     p.add_argument("--values", nargs="*", default=None,
                    help="override the default value grid for the axis")
-    _add_episode_flags(p)
-    _add_model_flags(p)
-    _add_train_flags(p)
+    _add_run_flags(p)
     p.add_argument("--out-dir", type=Path, default=Path("ablation"))
     finish(p)
 
@@ -272,38 +264,14 @@ def _extract_config_path(argv):
 
 def config_from_args(args, feature_dim):
     """Materialize the resolved TrainConfig for this invocation."""
-    model = ModelConfig(
-        feature_dim=feature_dim,
-        layers=args.layers,
-        hidden_dim=args.hidden_dim,
-        use_encoder=not args.no_encoder,
-        encoder_dim=args.encoder_dim,
-        metric_hidden=args.metric_hidden,
-        metric_input=args.metric_input,
-        metric_init=args.metric_init,
-        metric_bandwidth=args.metric_bandwidth,
-        channels=parse_variant(args.variant),
-        readout_channel=args.readout_channel,
-        standardize_vertex=args.standardize_vertex,
-        aggregate_normalize=args.aggregate_normalize,
-        aggregate_self=args.aggregate_self,
-        dtype=args.precision,
-    )
+    opts = vars(args)
+    model = {name: opts[name] for name in MODEL_OPTIONS
+             if name != "use_encoder"}
+    model.update(feature_dim=feature_dim, use_encoder=not args.no_encoder,
+                 channels=parse_variant(args.channels))
     return TrainConfig(
-        model=model,
-        n_way=args.n_way,
-        k_shot=args.k_shot,
-        n_query=args.queries,
-        label_fraction=args.label_fraction,
-        structure_weight=args.structure_weight,
-        learning_rate=args.learning_rate,
-        weight_decay=args.weight_decay,
-        batch_episodes=args.batch,
-        total_iterations=args.iterations,
-        eval_every=args.eval_every,
-        eval_episodes=args.eval_episodes,
-        target_accuracy=args.target_accuracy,
-        seed=args.seed,
+        model=ModelConfig(**model), seed=args.seed,
+        **{name: opts[name] for name in EPISODE_OPTIONS + TRAIN_OPTIONS},
     )
 
 

@@ -37,6 +37,16 @@ STANDARDIZE_EPS = 1e-5
 # range the edge update can express at about +-16
 SCORE_EPS = 1e-7
 
+# the allowed values of each enumerated ModelConfig field; the command
+# line offers the same tuples as its choices
+FIELD_CHOICES = {
+    "metric_input": ("distance", "absdiff"),
+    "metric_init": ("xavier", "kernel"),
+    "aggregate_normalize": ("channel", "neighbor"),
+    "readout_channel": ("auto",) + CHANNEL_ORDER,
+    "dtype": ("float64", "float32"),
+}
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -80,7 +90,7 @@ class ModelConfig:
     standardize_vertex: bool = False
     aggregate_normalize: str = "channel"
     aggregate_self: bool = False
-    readout_channel: str = "similar"
+    readout_channel: str = "auto"
     dtype: str = "float64"
 
     def __post_init__(self):
@@ -92,28 +102,19 @@ class ModelConfig:
             raise ConfigError(
                 f"leaky_slope must be in [0, 1], got {self.leaky_slope}"
             )
-        if self.metric_input not in ("distance", "absdiff"):
-            raise ConfigError(f"unknown metric_input {self.metric_input!r}")
-        if self.aggregate_normalize not in ("channel", "neighbor"):
-            raise ConfigError(
-                f"unknown aggregate_normalize {self.aggregate_normalize!r}"
-            )
-        if self.metric_init not in ("xavier", "kernel"):
-            raise ConfigError(f"unknown metric_init {self.metric_init!r}")
+        for name, allowed in FIELD_CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
         if self.metric_bandwidth <= 0.0:
             raise ConfigError(
                 f"metric_bandwidth must be positive, got {self.metric_bandwidth}"
             )
-        if self.dtype not in ("float64", "float32"):
-            raise ConfigError(f"unknown dtype {self.dtype!r}")
         chans = tuple(self.channels)
         if not chans or any(c not in CHANNEL_ORDER for c in chans):
             raise ConfigError(f"bad channel set {self.channels!r}")
         if tuple(c for c in CHANNEL_ORDER if c in chans) != chans:
             raise ConfigError(f"channels must follow order {CHANNEL_ORDER}")
         object.__setattr__(self, "channels", chans)
-        if self.readout_channel not in CHANNEL_ORDER + ("auto",):
-            raise ConfigError(f"unknown readout_channel {self.readout_channel!r}")
 
     @property
     def np_dtype(self):

@@ -38,16 +38,3 @@ def tiny_config():
 def tiny_params(tiny_config):
     return model.init_params(tiny_config, seed=5)
 
-
-def generic_point(params, seed=11, scale=0.05):
-    """Shift parameters off the exact init.
-
-    At the pristine init every pair distance of zero meets a zero bias,
-    parking metric-net hidden units exactly on activation kinks; a small
-    random offset restores a generic, kink-free neighborhood.
-    """
-    rng = data.make_rng(seed, 0x6E)
-    for name in params.names():
-        p = params.t(name)
-        p.data = p.data + scale * rng.standard_normal(p.shape)
-    return params

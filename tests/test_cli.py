@@ -3,9 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from hospgnn.cli import main
+from hospgnn.cli import (
+    CONFIG_KEYS,
+    config_from_args,
+    load_config_defaults,
+    main,
+    make_parser,
+)
 from hospgnn.data import load_dataset
-from hospgnn.train import load_checkpoint
+from hospgnn.model import ModelConfig
+from hospgnn.train import TrainConfig, load_checkpoint
 
 FAST_MODEL = [
     "--layers", "2", "--hidden-dim", "8", "--encoder-dim", "8",
@@ -250,6 +257,99 @@ class TestConfigFile:
                    "--val", str(data_files["val"]),
                    "--out-dir", str(tmp_path / "x")])
         assert rc == 2
+
+
+TRAIN_ARGV = ["train", "--train", "a", "--val", "b"]
+ABLATE_ARGV = ["ablate", "--train", "a", "--val", "b", "--test", "c",
+               "--axis", "layers"]
+
+# every config-file key the parser has accepted (the 33 of the former
+# key table, then "channels"), each with a value that differs from the
+# default and the flags that set the same value
+CONFIG_KEY_FLAGS = {
+    "seed": (7, ["--seed", "7"]),
+    "workers": (2, ["--workers", "2"]),
+    "n_way": (3, ["--n-way", "3"]),
+    "k_shot": (2, ["--k-shot", "2"]),
+    "n_query": (4, ["--queries", "4"]),
+    "queries": (4, ["--queries", "4"]),
+    "label_fraction": (0.5, ["--label-fraction", "0.5"]),
+    "structure_weight": (0.01, ["--lambda", "0.01"]),
+    "lambda": (0.01, ["--lambda", "0.01"]),
+    "learning_rate": (0.002, ["--learning-rate", "0.002"]),
+    "weight_decay": (0.0001, ["--weight-decay", "0.0001"]),
+    "batch_episodes": (3, ["--batch", "3"]),
+    "batch": (3, ["--batch", "3"]),
+    "total_iterations": (7, ["--iterations", "7"]),
+    "iterations": (7, ["--iterations", "7"]),
+    "eval_every": (5, ["--eval-every", "5"]),
+    "eval_episodes": (9, ["--eval-episodes", "9"]),
+    "target_accuracy": (0.9, ["--target-accuracy", "0.9"]),
+    "layers": (2, ["--layers", "2"]),
+    "hidden_dim": (16, ["--hidden-dim", "16"]),
+    "encoder_dim": (12, ["--encoder-dim", "12"]),
+    "metric_hidden": (24, ["--metric-hidden", "24"]),
+    "metric_input": ("absdiff", ["--metric-input", "absdiff"]),
+    "metric_init": ("kernel", ["--metric-init", "kernel"]),
+    "metric_bandwidth": (0.75, ["--metric-bandwidth", "0.75"]),
+    "aggregate_normalize": ("neighbor", ["--aggregate-normalize", "neighbor"]),
+    "aggregate_self": (True, ["--aggregate-self"]),
+    "variant": ("rd", ["--variant", "rd"]),
+    "readout_channel": ("relative", ["--readout-channel", "relative"]),
+    "precision": ("float32", ["--precision", "float32"]),
+    "dtype": ("float32", ["--precision", "float32"]),
+    "standardize_vertex": (True, ["--standardize-vertex"]),
+    "use_encoder": (False, ["--no-encoder"]),
+    "channels": (["relative", "dissimilar"], ["--variant", "rd"]),
+}
+
+
+def resolve(argv, config_path=None):
+    """The run config and worker count main() would use for argv."""
+    defaults = load_config_defaults(config_path) if config_path else None
+    args = make_parser(defaults).parse_args(argv)
+    return config_from_args(args, feature_dim=8), args.workers
+
+
+class TestOptionSchema:
+    @pytest.mark.parametrize("argv", [TRAIN_ARGV, ABLATE_ARGV],
+                             ids=["train", "ablate"])
+    def test_flag_defaults_are_the_dataclass_defaults(self, argv):
+        args = make_parser().parse_args(argv)
+        assert config_from_args(args, feature_dim=8) == \
+            TrainConfig(model=ModelConfig(feature_dim=8))
+
+    @pytest.mark.parametrize("key", sorted(CONFIG_KEY_FLAGS))
+    def test_config_key_matches_its_flag(self, tmp_path, key):
+        value, flags = CONFIG_KEY_FLAGS[key]
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({key: value}))
+        by_file = resolve(TRAIN_ARGV, path)
+        assert by_file == resolve(TRAIN_ARGV + flags)
+        assert by_file != resolve(TRAIN_ARGV)
+
+    def test_nested_model_object(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({
+            "seed": 3,
+            "model": {"layers": 2, "channels": ["similar"],
+                      "use_encoder": False},
+        }))
+        assert resolve(TRAIN_ARGV, path) == resolve(
+            TRAIN_ARGV + ["--seed", "3", "--layers", "2", "--variant", "s",
+                          "--no-encoder"])
+
+    def test_no_config_key_added_or_removed(self):
+        assert set(CONFIG_KEYS) == set(CONFIG_KEY_FLAGS)
+
+    def test_unknown_channel_name_is_usage_error(self, tmp_path, data_files):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"channels": ["similar", "sim"]}))
+        rc = main(["train", "--config", str(path),
+                   "--train", str(data_files["train"]),
+                   "--val", str(data_files["val"]),
+                   "--out-dir", str(tmp_path / "x")])
+        assert rc == 1
 
 
 class TestExitCodes:

@@ -69,6 +69,10 @@ class TestConfig:
                           readout_channel="auto")
         assert dis.resolved_readout() == "dissimilar"
 
+    def test_default_readout_follows_enabled_channels(self):
+        cfg = ModelConfig(feature_dim=4, channels=("relative", "dissimilar"))
+        assert cfg.resolved_readout() == "relative"
+
     def test_explicit_readout_must_be_enabled(self):
         cfg = ModelConfig(feature_dim=4, channels=("relative",),
                           readout_channel="similar")
