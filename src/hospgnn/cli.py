@@ -69,8 +69,7 @@ def build_manifest(cfg: TrainConfig, inputs, outputs, extra=None):
 EPISODE_OPTIONS = ("n_way", "k_shot", "n_query", "label_fraction")
 MODEL_OPTIONS = (
     "layers", "hidden_dim", "encoder_dim", "use_encoder", "metric_hidden",
-    "metric_input", "metric_init", "metric_bandwidth", "aggregate_normalize",
-    "aggregate_self", "channels", "readout_channel", "standardize_vertex",
+    "metric_input", "aggregate_self", "channels", "standardize_vertex",
     "dtype",
 )
 TRAIN_OPTIONS = (
@@ -111,19 +110,25 @@ CONFIG_KEYS = {
 def _variant_name(channels):
     """The --variant spelling of a sequence of channel names."""
     channels = tuple(channels)
-    if not set(channels) <= set(CHANNEL_ORDER):
+    if not all(ch in CHANNEL_ORDER for ch in channels):
         raise ConfigError(f"bad channel set {channels!r}")
     if channels == FULL_CHANNELS:
         return "full"
     return "".join(ch[0] for ch in channels)
 
 
-def _add_run_flags(p):
+def _option_schema():
+    """Each config field's type and default, by field name."""
     configs = (ModelConfig, TrainConfig)
     kinds = {name: kind for cls in configs
              for name, kind in typing.get_type_hints(cls).items()}
     defaults = {f.name: f.default for cls in configs
                 for f in dataclasses.fields(cls)}
+    return kinds, defaults
+
+
+def _add_run_flags(p):
+    kinds, defaults = _option_schema()
     for name in EPISODE_OPTIONS + MODEL_OPTIONS + TRAIN_OPTIONS:
         kind, default = kinds[name], defaults[name]
         spelling = FLAG_NAMES.get(name, name)
@@ -147,11 +152,20 @@ def _add_run_flags(p):
                            choices=choices, metavar=metavar)
 
 
+def _fits(value, kind):
+    """Whether a JSON value has an option's type. JSON true and false
+    load as bools, which Python counts as ints; an int fits a float."""
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 def load_config_defaults(path):
     """Read a JSON config file into argparse default overrides.
 
     Flags given on the command line still win: these only replace the
-    parser defaults.
+    parser defaults. Each value must have its option's type, or be null
+    where the default is None; a mismatch is a config error naming it.
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -162,17 +176,25 @@ def load_config_defaults(path):
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     flat = dict(raw)
-    model_part = flat.pop("model", None)
-    if isinstance(model_part, dict):
-        flat.update(model_part)
+    model_part = flat.pop("model", {})
+    if not isinstance(model_part, dict):
+        raise ConfigError(f"config file {path}: \"model\" must be an object")
+    flat.update(model_part)
 
+    kinds, field_defaults = _option_schema()
+    kinds["workers"] = int
     defaults = {}
     for key, value in flat.items():
         name = CONFIG_KEYS.get(key)
         if name is None:
             raise ConfigError(f"config file {path}: unknown key {key!r}")
+        kind = {"variant": str, "channels": list}.get(key, kinds[name])
+        nullable = field_defaults.get(name, 0) is None
+        if not (_fits(value, kind) or value is None and nullable):
+            raise ConfigError(f"config file {path}: key {key!r} must be "
+                              f"{kind.__name__}, got {value!r}")
         if name == "use_encoder":
-            defaults["no_encoder"] = not bool(value)
+            defaults["no_encoder"] = not value
         elif key == "channels":
             defaults[name] = _variant_name(value)
         else:

@@ -53,6 +53,13 @@ def parse_variant(text):
     return tuple(ch for ch in CHANNEL_ORDER if ch in enabled)
 
 
+def readout_for(channels):
+    """The channel labels are read from: similar, else relative, else
+    dissimilar, whichever of them is enabled first."""
+    return next(ch for ch in ("similar", "relative", "dissimilar")
+                if ch in channels)
+
+
 def channel_index(channels, name):
     if name not in channels:
         raise ConfigError(f"channel {name!r} not enabled (have {channels})")

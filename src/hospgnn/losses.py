@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DataError
-from .graph import channel_index
+from .graph import channel_index, readout_for
 from .model import channel_affinities
 
 
@@ -44,18 +44,16 @@ def predict_labels(graph, episode, channel=None, layer=None):
     supports of c (self-edges cannot occur: a query is never a support).
     The dissimilar channel is read as its complement, one minus the
     value, so larger always means more alike. Rows are softmax over the
-    episode's classes, ordered by class slot.
+    episode's classes, ordered by class slot. The channel defaults to
+    ``readout_for`` of the enabled channels.
     """
-    cfg_channels = graph.channels
     if channel is None:
-        channel = "similar" if "similar" in cfg_channels else (
-            "relative" if "relative" in cfg_channels else "dissimilar"
-        )
+        channel = readout_for(graph.channels)
     if layer is None:
         layer = graph.num_layers
     if not (1 <= layer <= graph.num_layers):
         raise ConfigError(f"layer must be in 1..{graph.num_layers}, got {layer}")
-    idx = channel_index(cfg_channels, channel)
+    idx = channel_index(graph.channels, channel)
     edges = T.take_last(graph.edges[layer], idx)
     if channel == "dissimilar":
         edges = T.sub(1.0, edges)

@@ -28,6 +28,7 @@ from .graph import (
     init_edges,
     init_relative_channel,
     pairwise_distances,
+    readout_for,
     relative_features,
 )
 
@@ -41,9 +42,6 @@ SCORE_EPS = 1e-7
 # line offers the same tuples as its choices
 FIELD_CHOICES = {
     "metric_input": ("distance", "absdiff"),
-    "metric_init": ("xavier", "kernel"),
-    "aggregate_normalize": ("channel", "neighbor"),
-    "readout_channel": ("auto",) + CHANNEL_ORDER,
     "dtype": ("float64", "float32"),
 }
 
@@ -55,15 +53,6 @@ class ModelConfig:
     ``metric_input`` selects what the per-layer affinity nets consume:
     ``distance`` feeds the scalar pair distance, ``absdiff`` feeds the
     per-dimension absolute difference vector.
-
-    ``aggregate_normalize`` selects the weights used when a vertex pools
-    its neighbors. ``channel`` scales each pair's channel triple to sum
-    to one, so every neighbor contributes total weight one and the pool
-    is dominated by the episode mean as the graph grows. ``neighbor``
-    makes each channel row-stochastic instead, turning the pool into a
-    weighted average that can concentrate on few vertices; it is the
-    variant that keeps class structure intact deep in the network, and
-    large-graph configurations generally need it to train.
 
     ``aggregate_self`` appends the vertex's own current feature to the
     pooled channel features before the vertex net. Without it a vertex
@@ -83,18 +72,15 @@ class ModelConfig:
     encoder_dim: int = 32
     metric_hidden: int = 96
     metric_input: str = "distance"
-    metric_init: str = "xavier"
-    metric_bandwidth: float = 0.5
     channels: tuple = FULL_CHANNELS
     leaky_slope: float = 0.01
     standardize_vertex: bool = False
-    aggregate_normalize: str = "channel"
     aggregate_self: bool = False
-    readout_channel: str = "auto"
     dtype: str = "float64"
 
     def __post_init__(self):
-        if self.feature_dim < 1 or self.hidden_dim < 1 or self.metric_hidden < 1:
+        if min(self.feature_dim, self.hidden_dim, self.encoder_dim,
+               self.metric_hidden) < 1:
             raise ConfigError("dimensions must be positive")
         if self.layers < 1:
             raise ConfigError(f"need at least one layer, got {self.layers}")
@@ -105,10 +91,6 @@ class ModelConfig:
         for name, allowed in FIELD_CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
-        if self.metric_bandwidth <= 0.0:
-            raise ConfigError(
-                f"metric_bandwidth must be positive, got {self.metric_bandwidth}"
-            )
         chans = tuple(self.channels)
         if not chans or any(c not in CHANNEL_ORDER for c in chans):
             raise ConfigError(f"bad channel set {self.channels!r}")
@@ -141,19 +123,8 @@ class ModelConfig:
         return "similar" in self.channels or "dissimilar" in self.channels
 
     def resolved_readout(self):
-        """The channel predictions actually read. ``auto`` prefers the
-        similarity channel, then relative, then dissimilar."""
-        if self.readout_channel != "auto":
-            if self.readout_channel not in self.channels:
-                raise ConfigError(
-                    f"readout channel {self.readout_channel!r} is disabled "
-                    f"(enabled: {self.channels})"
-                )
-            return self.readout_channel
-        for ch in ("similar", "relative", "dissimilar"):
-            if ch in self.channels:
-                return ch
-        raise ConfigError("no channels enabled")
+        """The channel predictions are read from (``readout_for``)."""
+        return readout_for(self.channels)
 
     def to_dict(self):
         out = asdict(self)
@@ -247,59 +218,7 @@ def init_params(config, seed=0):
             linear(f"layer{l}.pairnet.0", m_in, config.metric_hidden)
             linear(f"layer{l}.pairnet.1", config.metric_hidden, config.metric_hidden)
             linear(f"layer{l}.pairnet.2", config.metric_hidden, 1)
-    params = ModelParams(config=config, tensors=tensors)
-    if config.metric_init == "kernel":
-        _kernel_seed_metric_nets(params, rng)
-    return params
-
-
-def _kernel_seed_metric_nets(params, rng):
-    """Reshape every affinity net into a soft distance kernel.
-
-    Plain Xavier starts the nets nearly constant in their input, which
-    leaves initial edges uninformative and forces training to discover
-    "small distance means strong affinity" from scratch. This overwrite
-    makes each net compute roughly sigmoid(bandwidth * (d0 - mean(input)))
-    at the start: hidden layers average their input through positive
-    weights that keep leaky units in the linear region, and the head
-    applies the negative slope. The pivot d0 sits at the typical pair
-    distance of standardized features, so scores straddle one half
-    instead of pinning to a sigmoid tail. Small noise breaks unit
-    symmetry. The net remains a free function of its input; only the
-    starting point changes.
-    """
-    cfg = params.config
-    dtype = cfg.np_dtype
-    alpha = cfg.metric_bandwidth
-    if cfg.metric_input == "distance":
-        pivot = float(np.sqrt(2.0 * cfg.hidden_dim))
-    else:
-        pivot = 1.13
-    for l in range(cfg.layers):
-        for net in ("relnet", "pairnet"):
-            prefix = f"layer{l}.{net}"
-            if f"{prefix}.0.w" not in params.tensors:
-                continue
-            d_in, h = params.t(f"{prefix}.0.w").shape
-            noise = 0.02
-            params.t(f"{prefix}.0.w").data = (
-                np.ones((d_in, h)) / d_in
-                + noise * rng.standard_normal((d_in, h))
-            ).astype(dtype)
-            params.t(f"{prefix}.0.b").data = (
-                noise * rng.standard_normal(h)).astype(dtype)
-            params.t(f"{prefix}.1.w").data = (
-                np.ones((h, h)) / h
-                + noise * rng.standard_normal((h, h))
-            ).astype(dtype)
-            params.t(f"{prefix}.1.b").data = (
-                noise * rng.standard_normal(h)).astype(dtype)
-            params.t(f"{prefix}.2.w").data = (
-                -alpha / h * np.ones((h, 1))
-                + noise / h * rng.standard_normal((h, 1))
-            ).astype(dtype)
-            params.t(f"{prefix}.2.b").data = np.array(
-                [alpha * pivot], dtype=dtype)
+    return ModelParams(config=config, tensors=tensors)
 
 
 def _linear(params, prefix, x):
@@ -418,11 +337,8 @@ def vertex_update(u_prev, v_prev, e_prev, params, layer):
     The relative channel aggregates difference features, the label
     channels aggregate the vertex features themselves. Aggregates are
     concatenated in channel order and mapped through the vertex net.
-    The (M, M, C) weights are computed once for all channels: the
-    pair-normalized edge values, or under ``neighbor`` normalization the
-    edges divided by their per-channel row mass, so each channel is
-    row-stochastic; a row with no mass in some channel is a numeric
-    error naming the row and the channel.
+    The (M, M, C) weights are the pair-normalized edge values, computed
+    once for all channels.
 
     ``e_prev`` is the edge tensor to pool over: ``forward`` passes the
     label-blind initial edges to layer 0, so visible labels cannot
@@ -430,12 +346,7 @@ def vertex_update(u_prev, v_prev, e_prev, params, layer):
     ``forward``), and the previous layer's edges afterwards.
     """
     cfg = params.config
-    if cfg.aggregate_normalize == "channel":
-        weights = normalize_channels_guarded(e_prev)
-    else:
-        mass = _row_mass(e_prev, cfg.channels,
-                         "vertex aggregation: zero row mass")
-        weights = T.div(e_prev, mass)
+    weights = normalize_channels_guarded(e_prev)
     parts = [
         T.matmul(T.take_last(weights, idx),
                  v_prev if ch == "relative" else u_prev)

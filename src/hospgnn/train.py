@@ -127,7 +127,6 @@ class Checkpoint:
     iteration: int
     val_accuracy: float
     config: TrainConfig
-    rng_state: dict = None
 
     def restore(self):
         params = init_params(self.config.model, seed=self.config.seed)
@@ -135,7 +134,7 @@ class Checkpoint:
         return params
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
@@ -145,7 +144,6 @@ def save_checkpoint(ckpt: Checkpoint, path):
         "val_accuracy": ckpt.val_accuracy,
         "config": ckpt.config.to_dict(),
         "config_hash": ckpt.config.fingerprint(),
-        "rng_state": ckpt.rng_state,
     }
     payload = {f"param/{name}": arr for name, arr in ckpt.arrays.items()}
     payload["__meta__"] = np.frombuffer(
@@ -174,19 +172,23 @@ def load_checkpoint(path):
         iteration=meta["iteration"],
         val_accuracy=meta["val_accuracy"],
         config=cfg,
-        rng_state=meta.get("rng_state"),
     )
+
+
+def _require_workers(workers):
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
 
 
 def evaluate(ds, params, cfg, episodes, seed=None, workers=1):
     """Mean query accuracy and 95% confidence half-width over episodes.
 
     Episodes are sampled up front from one stream so the result does not
-    depend on the worker count.
+    depend on the worker count, which must be at least one.
     """
     if episodes < 1:
         raise ConfigError("need at least one evaluation episode")
-    readout = params.config.resolved_readout()
+    _require_workers(workers)
     rng = make_rng(cfg.seed if seed is None else seed, _STREAM_EVAL)
     eps = [
         sample_episode(ds, cfg.n_way, cfg.k_shot, cfg.n_query,
@@ -196,7 +198,7 @@ def evaluate(ds, params, cfg, episodes, seed=None, workers=1):
 
     def run(ep):
         graph = forward(ep, params)
-        return losses.accuracy(graph, ep, channel=readout)
+        return losses.accuracy(graph, ep)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -229,8 +231,8 @@ def train(ds_train, ds_val, cfg: TrainConfig, workers=1, log=None):
     rather than skipping the batch; skipping hides gradient bugs, and a
     step would spread the NaN into every parameter.
     """
+    _require_workers(workers)
     params = init_params(cfg.model, seed=cfg.seed)
-    readout = cfg.model.resolved_readout()
     opt = Adam(params, cfg.learning_rate, cfg.weight_decay)
     train_rng = make_rng(cfg.seed, _STREAM_TRAIN)
     metrics = []
@@ -253,7 +255,7 @@ def train(ds_train, ds_val, cfg: TrainConfig, workers=1, log=None):
         for ep in episodes:
             with T.Tape() as tape:
                 graph = forward(ep, params)
-                ce = losses.episodic_ce(graph, ep, channel=readout)
+                ce = losses.episodic_ce(graph, ep)
                 ml = losses.manifold_loss(graph)
                 total = losses.total_loss(ce, ml, cfg.structure_weight)
                 contribution = T.mul(total, scale)
@@ -285,7 +287,6 @@ def train(ds_train, ds_val, cfg: TrainConfig, workers=1, log=None):
                     iteration=iteration,
                     val_accuracy=val_acc,
                     config=cfg,
-                    rng_state=train_rng.bit_generator.state,
                 )
             if cfg.target_accuracy is not None and val_acc >= cfg.target_accuracy:
                 break
@@ -295,7 +296,6 @@ def train(ds_train, ds_val, cfg: TrainConfig, workers=1, log=None):
             iteration=cfg.total_iterations,
             val_accuracy=float("nan"),
             config=cfg,
-            rng_state=train_rng.bit_generator.state,
         )
     return best, metrics
 
@@ -305,12 +305,8 @@ ABLATION_AXES = ("variant", "layers", "structure_weight", "label_fraction")
 
 def _apply_axis(cfg: TrainConfig, axis, value):
     if axis == "variant":
-        channels = parse_variant(value)
-        readout = cfg.model.readout_channel
-        if readout != "auto" and readout not in channels:
-            readout = "auto"
         return replace(
-            cfg, model=replace(cfg.model, channels=channels, readout_channel=readout)
+            cfg, model=replace(cfg.model, channels=parse_variant(value))
         )
     if axis == "layers":
         return replace(cfg, model=replace(cfg.model, layers=int(value)))

@@ -115,8 +115,7 @@ class NaiveModel:
 
     def vertex_step(self, layer, u, v, edges):
         m = len(u)
-        by_neighbor = self.cfg.get("aggregate_normalize") == "neighbor"
-        norm = None if by_neighbor else self.pair_normalize(edges)
+        norm = self.pair_normalize(edges)
         rows = []
         for i in range(m):
             feats = []
@@ -124,16 +123,9 @@ class NaiveModel:
                 src = v if ch == "relative" else u
                 d = len(src[0])
                 agg = [0.0] * d
-                if by_neighbor:
-                    mass = sum(edges[i][j][k] for j in range(m))
-                    assert mass >= EPS, "dead aggregation row in reference"
                 for j in range(m):
-                    if by_neighbor:
-                        wgt = edges[i][j][k] / mass
-                    else:
-                        wgt = norm[i][j][k]
                     for f in range(d):
-                        agg[f] += wgt * src[j][f]
+                        agg[f] += norm[i][j][k] * src[j][f]
                 feats.extend(agg)
             if self.cfg.get("aggregate_self"):
                 feats.extend(u[i])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,9 @@ import pytest
 
 from hospgnn.cli import (
     CONFIG_KEYS,
+    EPISODE_OPTIONS,
+    MODEL_OPTIONS,
+    TRAIN_OPTIONS,
     config_from_args,
     load_config_defaults,
     main,
@@ -153,6 +157,21 @@ class TestEval:
                    "--data", str(wrong), "--episodes", "2"])
         assert rc == 2
 
+    def test_version_1_checkpoint_is_data_error(self, tmp_path, data_files,
+                                                capsys):
+        path = run_train(data_files, tmp_path / "run") / "checkpoint.npz"
+        with np.load(path) as raw:
+            payload = {k: raw[k] for k in raw.files}
+        meta = json.loads(bytes(payload["__meta__"]).decode())
+        meta["version"] = 1
+        payload["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
+                                            dtype=np.uint8)
+        np.savez(path, **payload)
+        rc = main(["eval", "--checkpoint", str(path),
+                   "--data", str(data_files["test"]), "--episodes", "2"])
+        assert rc == 2
+        assert "unsupported checkpoint version 1" in capsys.readouterr().err
+
 
 class TestAblate:
     def test_layers_axis_writes_tables(self, tmp_path, data_files):
@@ -224,9 +243,7 @@ class TestConfigFile:
             "hidden_dim": 8,
             "encoder_dim": 8,
             "metric_hidden": 8,
-            "metric_init": "kernel",
-            "metric_bandwidth": 0.75,
-            "aggregate_normalize": "neighbor",
+            "metric_input": "absdiff",
             "aggregate_self": True,
         }))
         out = tmp_path / "run"
@@ -237,9 +254,7 @@ class TestConfigFile:
         assert rc == 0
         model = json.loads(
             (out / "summary.json").read_text())["config"]["model"]
-        assert model["metric_init"] == "kernel"
-        assert model["metric_bandwidth"] == 0.75
-        assert model["aggregate_normalize"] == "neighbor"
+        assert model["metric_input"] == "absdiff"
         assert model["aggregate_self"] is True
 
     def test_unknown_config_key_is_usage_error(self, tmp_path, data_files):
@@ -258,14 +273,51 @@ class TestConfigFile:
                    "--out-dir", str(tmp_path / "x")])
         assert rc == 2
 
+    @pytest.mark.parametrize("content, key", [
+        ({"aggregate_self": "no"}, "aggregate_self"),
+        ({"layers": 2.5}, "layers"),
+        ({"layers": True}, "layers"),
+        ({"learning_rate": "0.1"}, "learning_rate"),
+        ({"eval_every": None}, "eval_every"),
+        ({"variant": ["r"]}, "variant"),
+        ({"channels": "rd"}, "channels"),
+        ({"model": {"use_encoder": 0}}, "use_encoder"),
+    ])
+    def test_value_of_wrong_type_is_usage_error(self, tmp_path, data_files,
+                                                capsys, content, key):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(content))
+        rc = main(["train", "--config", str(cfg_path),
+                   "--train", str(data_files["train"]),
+                   "--val", str(data_files["val"]),
+                   "--out-dir", str(tmp_path / "x")])
+        assert rc == 1
+        assert f"key {key!r}" in capsys.readouterr().err
+
+    def test_non_object_model_is_usage_error(self, tmp_path, data_files):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"model": 3}))
+        rc = main(["train", "--config", str(cfg_path),
+                   "--train", str(data_files["train"]),
+                   "--val", str(data_files["val"]),
+                   "--out-dir", str(tmp_path / "x")])
+        assert rc == 1
+
+    def test_ints_for_floats_and_null_target_accepted(self, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"learning_rate": 1,
+                                        "target_accuracy": None}))
+        cfg, _ = resolve(TRAIN_ARGV, cfg_path)
+        assert cfg.learning_rate == 1.0
+        assert cfg.target_accuracy is None
+
 
 TRAIN_ARGV = ["train", "--train", "a", "--val", "b"]
 ABLATE_ARGV = ["ablate", "--train", "a", "--val", "b", "--test", "c",
                "--axis", "layers"]
 
-# every config-file key the parser has accepted (the 33 of the former
-# key table, then "channels"), each with a value that differs from the
-# default and the flags that set the same value
+# every config-file key the parser accepts, each with a value that
+# differs from the default and the flags that set the same value
 CONFIG_KEY_FLAGS = {
     "seed": (7, ["--seed", "7"]),
     "workers": (2, ["--workers", "2"]),
@@ -290,12 +342,8 @@ CONFIG_KEY_FLAGS = {
     "encoder_dim": (12, ["--encoder-dim", "12"]),
     "metric_hidden": (24, ["--metric-hidden", "24"]),
     "metric_input": ("absdiff", ["--metric-input", "absdiff"]),
-    "metric_init": ("kernel", ["--metric-init", "kernel"]),
-    "metric_bandwidth": (0.75, ["--metric-bandwidth", "0.75"]),
-    "aggregate_normalize": ("neighbor", ["--aggregate-normalize", "neighbor"]),
     "aggregate_self": (True, ["--aggregate-self"]),
     "variant": ("rd", ["--variant", "rd"]),
-    "readout_channel": ("relative", ["--readout-channel", "relative"]),
     "precision": ("float32", ["--precision", "float32"]),
     "dtype": ("float32", ["--precision", "float32"]),
     "standardize_vertex": (True, ["--standardize-vertex"]),
@@ -342,6 +390,26 @@ class TestOptionSchema:
     def test_no_config_key_added_or_removed(self):
         assert set(CONFIG_KEYS) == set(CONFIG_KEY_FLAGS)
 
+    def test_every_config_field_is_an_option(self):
+        # feature_dim comes from the data and seed has its own flag;
+        # leaky_slope is fixed for runs (unit tests set it to make the
+        # nets linear)
+        model = [f.name for f in dataclasses.fields(ModelConfig)]
+        assert sorted(model) == sorted(
+            MODEL_OPTIONS + ("feature_dim", "leaky_slope"))
+        run = [f.name for f in dataclasses.fields(TrainConfig)]
+        assert sorted(run) == sorted(
+            EPISODE_OPTIONS + TRAIN_OPTIONS + ("model", "seed"))
+
+    @pytest.mark.parametrize("argv", [TRAIN_ARGV, ABLATE_ARGV],
+                             ids=["train", "ablate"])
+    def test_help_lists_no_removed_flag(self, capsys, argv):
+        assert main([argv[0], "--help"]) == 0
+        text = capsys.readouterr().out
+        for flag in ("--metric-init", "--metric-bandwidth",
+                     "--aggregate-normalize", "--readout-channel"):
+            assert flag not in text
+
     def test_unknown_channel_name_is_usage_error(self, tmp_path, data_files):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"channels": ["similar", "sim"]}))
@@ -363,6 +431,14 @@ class TestExitCodes:
         rc = main(["train", "--train", str(data_files["train"]),
                    "--val", str(data_files["val"]),
                    "--variant", "xyz", "--out-dir", str(tmp_path / "x")])
+        assert rc == 1
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_fewer_than_one_worker_is_usage_error(self, tmp_path, data_files,
+                                                  workers):
+        rc = main(["train", "--train", str(data_files["train"]),
+                   "--val", str(data_files["val"]), *FAST_MODEL, *FAST_TRAIN,
+                   "--workers", workers, "--out-dir", str(tmp_path / "x")])
         assert rc == 1
 
     def test_help_exits_zero(self, capsys):

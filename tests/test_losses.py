@@ -4,6 +4,7 @@ import pytest
 from hospgnn import tensor as T
 from hospgnn.data import Episode
 from hospgnn.errors import ConfigError, DataError
+from hospgnn.graph import readout_for
 from hospgnn.losses import (
     accuracy,
     episodic_ce,
@@ -134,6 +135,15 @@ class TestReadout:
                               similar_layer([0.5, 0.5], [0.5, 0.5])])
         with pytest.raises(ConfigError):
             predict_labels(g, tiny_task(), channel="relative")
+
+    def test_default_channel_follows_the_readout_rule(self):
+        channels = ("relative", "dissimilar")
+        layer = np.random.default_rng(3).uniform(0.1, 0.9, size=(4, 4, 2))
+        g = graph_from_edges([np.zeros((4, 4, 2)), layer], channels=channels)
+        assert readout_for(channels) == "relative"
+        assert np.array_equal(
+            predict_labels(g, tiny_task()).data,
+            predict_labels(g, tiny_task(), channel="relative").data)
 
     def test_query_slots(self):
         assert query_slots(tiny_task()).tolist() == [0, 1]

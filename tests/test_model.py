@@ -42,11 +42,11 @@ class TestConfig:
             {"layers": 0},
             {"leaky_slope": -0.1},
             {"leaky_slope": 1.5},
-            {"readout_channel": "nope"},
-            {"aggregate_normalize": "rows"},
-            {"metric_init": "ones"},
-            {"metric_bandwidth": 0.0},
-            {"metric_bandwidth": -1.0},
+            {"hidden_dim": 0},
+            {"encoder_dim": 0},
+            {"metric_hidden": 0},
+            {"channels": ()},
+            {"channels": ("similar", "similar")},
         ],
     )
     def test_bad_values_rejected(self, kw):
@@ -58,26 +58,18 @@ class TestConfig:
             ModelConfig(feature_dim=0)
 
     def test_readout_auto_prefers_similar(self):
-        cfg = ModelConfig(feature_dim=4, readout_channel="auto")
+        cfg = ModelConfig(feature_dim=4)
         assert cfg.resolved_readout() == "similar"
 
     def test_readout_auto_falls_back_in_channel_order(self):
-        rel = ModelConfig(feature_dim=4, channels=("relative",),
-                          readout_channel="auto")
+        rel = ModelConfig(feature_dim=4, channels=("relative",))
         assert rel.resolved_readout() == "relative"
-        dis = ModelConfig(feature_dim=4, channels=("dissimilar",),
-                          readout_channel="auto")
+        dis = ModelConfig(feature_dim=4, channels=("dissimilar",))
         assert dis.resolved_readout() == "dissimilar"
 
     def test_default_readout_follows_enabled_channels(self):
         cfg = ModelConfig(feature_dim=4, channels=("relative", "dissimilar"))
         assert cfg.resolved_readout() == "relative"
-
-    def test_explicit_readout_must_be_enabled(self):
-        cfg = ModelConfig(feature_dim=4, channels=("relative",),
-                          readout_channel="similar")
-        with pytest.raises(ConfigError):
-            cfg.resolved_readout()
 
     def test_dict_round_trip(self):
         cfg = ModelConfig(feature_dim=6, layers=2, hidden_dim=10,
@@ -247,37 +239,6 @@ class TestVertexUpdate:
         assert np.allclose(u_next.data.mean(axis=0), 0.0, atol=1e-10)
         assert np.allclose(u_next.data.std(axis=0), 1.0, atol=1e-2)
 
-    def test_neighbor_mode_weights_rows_to_unit_mass(self):
-        cfg = ModelConfig(feature_dim=3, layers=1, hidden_dim=3,
-                          use_encoder=False, leaky_slope=1.0,
-                          aggregate_normalize="neighbor")
-        params = init_params(cfg, seed=0)
-        w = np.zeros((9, 3))
-        w[3:6] = np.eye(3)
-        params.t("layer0.vertex.w").data[...] = w
-        rng = np.random.default_rng(8)
-        m = 4
-        u = T.Tensor(rng.normal(size=(m, 3)))
-        v = T.Tensor(rng.normal(size=(m, 3)))
-        e = T.Tensor(rng.uniform(0.1, 1.0, size=(m, m, 3)))
-        u_next, _ = vertex_update(u, v, e, params, layer=0)
-        sim = e.data[:, :, 1]
-        want = (sim / sim.sum(axis=1, keepdims=True)) @ u.data
-        assert np.allclose(u_next.data, want, atol=1e-12)
-
-    def test_neighbor_mode_rejects_dead_row(self):
-        cfg = ModelConfig(feature_dim=3, layers=1, hidden_dim=3,
-                          use_encoder=False,
-                          aggregate_normalize="neighbor")
-        params = init_params(cfg, seed=0)
-        rng = np.random.default_rng(9)
-        u = T.Tensor(rng.normal(size=(3, 3)))
-        v = T.Tensor(rng.normal(size=(3, 3)))
-        dead = rng.uniform(0.1, 1.0, size=(3, 3, 3))
-        dead[1, :, 2] = 0.0
-        with pytest.raises(NumericError, match="row 1, channel 'dissimilar'"):
-            vertex_update(u, v, T.Tensor(dead), params, layer=0)
-
     def test_self_term_carries_own_features_through(self):
         # last input block is the vertex's previous features; selecting
         # it alone must reproduce them regardless of the edges
@@ -333,12 +294,10 @@ class TestMetricNets:
 
 
     @pytest.mark.parametrize("metric_input", ["distance", "absdiff"])
-    @pytest.mark.parametrize("metric_init", ["xavier", "kernel"])
-    def test_matches_dense_reference(self, metric_input, metric_init):
+    def test_matches_dense_reference(self, metric_input):
         # the net over all M*M ordered pairs, one tape node per op
         cfg = ModelConfig(feature_dim=6, use_encoder=False, hidden_dim=6,
-                          metric_hidden=10, metric_input=metric_input,
-                          metric_init=metric_init)
+                          metric_hidden=10, metric_input=metric_input)
         params = init_params(cfg, seed=6)
         prefix = "layer1.pairnet"
         names = [f"{prefix}.{k}.{w}" for k in range(3) for w in "wb"]
@@ -392,54 +351,6 @@ class TestMetricNets:
                 metric_scores(params, "layer0.relnet", feats)
             counts.append(len(tape))
         assert counts[0] == counts[1] == counts[2] <= 4, counts
-
-
-class TestKernelSeededMetrics:
-    def kernel_params(self, **kw):
-        cfg = ModelConfig(feature_dim=4, layers=1, hidden_dim=8,
-                          use_encoder=False, metric_hidden=16,
-                          metric_init="kernel", **kw)
-        return cfg, init_params(cfg, seed=2)
-
-    def test_scores_fall_as_pairs_separate(self):
-        cfg, params = self.kernel_params()
-        pivot = np.sqrt(2.0 * cfg.hidden_dim)
-        feats = np.zeros((4, 4))
-        feats[1, 0] = 0.5 * pivot
-        feats[2, 0] = pivot
-        feats[3, 0] = 1.5 * pivot
-        for net in ("relnet", "pairnet"):
-            s = metric_scores(params, f"layer0.{net}", T.Tensor(feats)).data
-            assert s[0, 1] > s[0, 2] > s[0, 3]
-
-    def test_score_straddles_half_at_typical_distance(self):
-        cfg, params = self.kernel_params()
-        pivot = np.sqrt(2.0 * cfg.hidden_dim)
-        feats = np.zeros((2, 4))
-        feats[1, 0] = pivot
-        for net in ("relnet", "pairnet"):
-            s = metric_scores(params, f"layer0.{net}", T.Tensor(feats)).data
-            assert abs(s[0, 1] - 0.5) < 0.1
-
-    def test_bandwidth_controls_steepness(self):
-        _, soft = self.kernel_params(metric_bandwidth=0.25)
-        cfg, sharp = self.kernel_params(metric_bandwidth=2.0)
-        pivot = np.sqrt(2.0 * cfg.hidden_dim)
-        feats = np.zeros((2, 4))
-        feats[1, 0] = 0.25 * pivot
-        near_soft = metric_scores(soft, "layer0.relnet", T.Tensor(feats)).data
-        near_sharp = metric_scores(sharp, "layer0.relnet", T.Tensor(feats)).data
-        assert near_sharp[0, 1] > near_soft[0, 1]
-
-    def test_absdiff_mode_pivots_on_mean_gap(self):
-        cfg = ModelConfig(feature_dim=4, layers=1, hidden_dim=6,
-                          use_encoder=False, metric_hidden=12,
-                          metric_input="absdiff", metric_init="kernel")
-        params = init_params(cfg, seed=2)
-        feats = np.zeros((2, 6))
-        feats[1] = 1.13
-        s = metric_scores(params, "layer0.relnet", T.Tensor(feats)).data
-        assert abs(s[0, 1] - 0.5) < 0.1
 
 
 class TestEdgeUpdate:
@@ -545,16 +456,14 @@ class TestForward:
         for e in graph.edges[1:]:
             assert np.allclose(e.data.sum(axis=2), 1.0, atol=1e-9)
 
-    @pytest.mark.parametrize("aggregate", ["channel", "neighbor"])
-    def test_first_vertex_update_is_label_blind(self, aggregate):
+    def test_first_vertex_update_is_label_blind(self):
         # visible labels shape the first edge update, never the first
         # vertex aggregation: layer-1 features match whichever supports
         # are labelled, layer-1 edges do not
         pool = synth_clusters(4, 10, 6, sep=3.0, seed=60)
         full = sample_episode(pool, 2, 3, 2, rng=make_rng(60, 2))
         cfg = ModelConfig(feature_dim=6, layers=2, hidden_dim=8,
-                          encoder_dim=8, metric_hidden=16,
-                          aggregate_normalize=aggregate)
+                          encoder_dim=8, metric_hidden=16)
         params = init_params(cfg, seed=7)
         one_each = full.label_mask.copy()
         one_each[[1, 2, 4, 5]] = False
@@ -587,8 +496,7 @@ class TestForward:
     def test_every_variant_runs_with_right_channel_count(
             self, tiny_episode, channels):
         cfg = ModelConfig(feature_dim=8, layers=2, hidden_dim=8,
-                          encoder_dim=8, metric_hidden=8, channels=channels,
-                          readout_channel="auto")
+                          encoder_dim=8, metric_hidden=8, channels=channels)
         graph = forward(tiny_episode, init_params(cfg, seed=2))
         assert graph.edges[-1].shape == (tiny_episode.m,
                                          tiny_episode.m, len(channels))
@@ -636,25 +544,11 @@ class TestNaiveOracle:
         ep = self.base_episode(seed=45, k_shot=4, frac=0.5)
         assert naive_worst_gap(ep, cfg) < 1e-10
 
-    def test_neighbor_aggregation(self):
-        cfg = ModelConfig(feature_dim=6, layers=2, hidden_dim=8,
-                          encoder_dim=8, metric_hidden=16,
-                          aggregate_normalize="neighbor")
-        assert naive_worst_gap(self.base_episode(seed=46), cfg) < 1e-10
-
     def test_self_term(self):
         cfg = ModelConfig(feature_dim=6, layers=2, hidden_dim=8,
                           encoder_dim=8, metric_hidden=16,
                           aggregate_self=True)
         assert naive_worst_gap(self.base_episode(seed=47), cfg) < 1e-10
-
-    def test_kernel_init_with_neighbor_and_self(self):
-        cfg = ModelConfig(feature_dim=6, layers=2, hidden_dim=8,
-                          use_encoder=False, metric_hidden=16,
-                          metric_init="kernel",
-                          aggregate_normalize="neighbor",
-                          aggregate_self=True)
-        assert naive_worst_gap(self.base_episode(seed=48), cfg) < 1e-10
 
 
 def test_full_loss_gradients_on_small_model(tiny_episode):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -242,8 +244,7 @@ class TestTrainLoop:
     def test_single_channel_variant_trains(self, train_pool, val_pool):
         cfg = small_cfg(
             total_iterations=2,
-            model_kw={"channels": ("similar", "dissimilar"),
-                      "readout_channel": "auto"},
+            model_kw={"channels": ("similar", "dissimilar")},
         )
         best, _ = train(train_pool, val_pool, cfg)
         assert not any("relnet" in n for n in best.arrays)
@@ -276,6 +277,16 @@ class TestEvaluate:
         with pytest.raises(ConfigError):
             evaluate(train_pool, params, cfg, episodes=0)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_needs_at_least_one_worker(self, train_pool, val_pool, workers):
+        cfg = small_cfg()
+        params = init_params(cfg.model, seed=0)
+        with pytest.raises(ConfigError, match="workers"):
+            evaluate(train_pool, params, cfg, episodes=2, workers=workers)
+        # train refuses before its first iteration, not at its first eval
+        with pytest.raises(ConfigError, match="workers"):
+            train(train_pool, val_pool, cfg, workers=workers)
+
 
 class TestCheckpoint:
     def test_round_trip_preserves_forward_bitwise(self, tmp_path,
@@ -292,14 +303,6 @@ class TestCheckpoint:
         before = predict_labels(forward(probe, best.restore()), probe).data
         after = predict_labels(forward(probe, loaded.restore()), probe).data
         assert np.array_equal(before, after)
-
-    def test_rng_state_survives(self, tmp_path, train_pool, val_pool):
-        cfg = small_cfg(total_iterations=2, eval_every=1)
-        best, _ = train(train_pool, val_pool, cfg)
-        assert best.rng_state is not None
-        save_checkpoint(best, tmp_path / "ck.npz")
-        loaded = load_checkpoint(tmp_path / "ck.npz")
-        assert loaded.rng_state == best.rng_state
 
     def test_tampered_config_rejected(self, tmp_path):
         cfg = small_cfg()
@@ -328,11 +331,32 @@ class TestCheckpoint:
         save_checkpoint(ck, path)
         raw = np.load(path)
         meta = bytes(raw["__meta__"]).decode().replace(
-            '"version": 1', '"version": 2')
+            '"version": 2', '"version": 3')
         payload = {k: raw[k] for k in raw.files}
         payload["__meta__"] = np.frombuffer(meta.encode(), dtype=np.uint8)
         np.savez(path, **payload)
         with pytest.raises(DataError, match="version"):
+            load_checkpoint(path)
+
+    def test_version_1_rejected(self, tmp_path):
+        # version-1 files carry model fields that version 2 dropped;
+        # they fail on the version, not on the config
+        cfg = small_cfg()
+        ck = Checkpoint(
+            arrays=init_params(cfg.model, seed=0).copy_arrays(),
+            iteration=1, val_accuracy=0.5, config=cfg,
+        )
+        path = tmp_path / "ck.npz"
+        save_checkpoint(ck, path)
+        with np.load(path) as raw:
+            payload = {k: raw[k] for k in raw.files}
+        meta = json.loads(bytes(payload["__meta__"]).decode())
+        meta["version"] = 1
+        meta["config"]["model"]["dropped_field"] = 0.5
+        payload["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
+                                            dtype=np.uint8)
+        np.savez(path, **payload)
+        with pytest.raises(DataError, match="unsupported checkpoint version 1"):
             load_checkpoint(path)
 
 
@@ -345,16 +369,6 @@ class TestAblation:
         assert [r.value for r in rows] == ["1", "2"]
         assert all(r.axis == "layers" for r in rows)
         assert all(0.0 <= r.accuracy <= 1.0 for r in rows)
-
-    def test_variant_axis_fixes_readout(self, train_pool, val_pool):
-        test_pool = synth_clusters(4, 12, 8, sep=6.0, seed=74, split="test")
-        cfg = small_cfg(
-            total_iterations=2, eval_every=2,
-            model_kw={"readout_channel": "similar"},
-        )
-        rows = run_ablation(train_pool, val_pool, test_pool, cfg,
-                            "variant", ["r", "full"])
-        assert [r.value for r in rows] == ["r", "full"]
 
     def test_unknown_axis_rejected(self, train_pool, val_pool):
         cfg = small_cfg()
