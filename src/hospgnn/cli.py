@@ -28,6 +28,7 @@ from .train import (
     ABLATION_AXES,
     TrainConfig,
     evaluate,
+    evaluate_test,
     load_checkpoint,
     run_ablation,
     save_checkpoint,
@@ -165,7 +166,9 @@ def load_config_defaults(path):
 
     Flags given on the command line still win: these only replace the
     parser defaults. Each value must have its option's type, or be null
-    where the default is None; a mismatch is a config error naming it.
+    where the default is None; a nested "model" object holds model
+    options only, and no option may be set twice, under either spelling
+    or in both places. A violation is a config error naming the key.
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -175,19 +178,28 @@ def load_config_defaults(path):
         raise ConfigError(f"config file {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    flat = dict(raw)
-    model_part = flat.pop("model", {})
+    model_part = raw.get("model", {})
     if not isinstance(model_part, dict):
         raise ConfigError(f"config file {path}: \"model\" must be an object")
-    flat.update(model_part)
+    for key in model_part:
+        if CONFIG_KEYS.get(key) not in MODEL_OPTIONS:
+            raise ConfigError(f"config file {path}: key {key!r} in "
+                              f"\"model\" is not a model option")
+    entries = [(key, value) for key, value in raw.items() if key != "model"]
+    entries += model_part.items()
 
     kinds, field_defaults = _option_schema()
     kinds["workers"] = int
     defaults = {}
-    for key, value in flat.items():
+    key_for = {}
+    for key, value in entries:
         name = CONFIG_KEYS.get(key)
         if name is None:
             raise ConfigError(f"config file {path}: unknown key {key!r}")
+        if name in key_for:
+            raise ConfigError(f"config file {path}: keys {key_for[name]!r} "
+                              f"and {key!r} both set {name}")
+        key_for[name] = key
         kind = {"variant": str, "channels": list}.get(key, kinds[name])
         nullable = field_defaults.get(name, 0) is None
         if not (_fits(value, kind) or value is None and nullable):
@@ -325,18 +337,20 @@ def cmd_synth(args):
     return 0
 
 
+def _require_train_dim(ds_train, *splits):
+    """A data error unless every given split has the training dimension;
+    checked before any training starts."""
+    for ds in splits:
+        if ds is not None and ds.dim != ds_train.dim:
+            raise DataError(f"dimension mismatch: train dim {ds_train.dim}, "
+                            f"{ds.split} dim {ds.dim}")
+
+
 def cmd_train(args):
     ds_train = load_dataset(args.train_path, "train")
     ds_val = load_dataset(args.val_path, "validation")
     ds_test = load_dataset(args.test_path, "test") if args.test_path else None
-    if ds_val.dim != ds_train.dim:
-        raise DataError(
-            f"dimension mismatch: train dim {ds_train.dim}, val dim {ds_val.dim}"
-        )
-    if ds_test is not None and ds_test.dim != ds_train.dim:
-        raise DataError(
-            f"dimension mismatch: train dim {ds_train.dim}, test dim {ds_test.dim}"
-        )
+    _require_train_dim(ds_train, ds_val, ds_test)
     cfg = config_from_args(args, feature_dim=ds_train.dim)
 
     out = args.out_dir
@@ -365,11 +379,7 @@ def cmd_train(args):
     write_metrics_csv(metrics_path, metrics, manifest["manifest_hash"])
 
     if ds_test is not None:
-        params = best.restore()
-        test_acc, test_ci = evaluate(
-            ds_test, params, cfg, cfg.eval_episodes,
-            seed=cfg.seed + 0x7E57, workers=args.workers,
-        )
+        test_acc, test_ci = evaluate_test(ds_test, best, cfg, args.workers)
     else:
         # no test split given: report the best validation score instead
         test_acc, test_ci = best.val_accuracy, 0.0
@@ -444,6 +454,7 @@ def cmd_ablate(args):
     ds_train = load_dataset(args.train_path, "train")
     ds_val = load_dataset(args.val_path, "validation")
     ds_test = load_dataset(args.test_path, "test")
+    _require_train_dim(ds_train, ds_val, ds_test)
     cfg = config_from_args(args, feature_dim=ds_train.dim)
 
     axis = args.axis
@@ -517,10 +528,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return DATA_EXIT
-    except DataError as exc:
+    except (FileNotFoundError, DataError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return DATA_EXIT
     except NumericError as exc:

@@ -86,55 +86,11 @@ def relative_features(feats):
 
 
 def pairwise_distances(feats):
-    """Euclidean distance between every pair of rows, as one (M, M) node.
-
-    Built from explicit row differences rather than the inner-product
-    identity, which loses precision catastrophically near zero. Each
-    unordered pair is computed once and written to (i, j) and (j, i), so
-    the result is symmetric bitwise; the diagonal is exactly zero.
-
-    Backward folds g + g^T onto the pairs and forms
-    ``sum_j c_ij (f_i - f_j)``, c_ij = (g_ij + g_ji) / d_ij, as one
-    product with the (M, M) matrix c; its rounding error relative to the
-    gradient is about eps |f| / d_ij, the same amount a rounding-level
-    change of the inputs moves the direction (f_i - f_j) / d_ij. A pair
-    at distance zero has zero subgradient, as ``T.sqrt`` gives.
-    """
+    """Euclidean distance between every pair of rows, as an (M, M)
+    matrix: the ``T.pair_distances`` rows spread back symmetrically
+    (bitwise), with an exactly zero diagonal."""
     feats = T._as_tensor(feats)
-    if feats.ndim != 2:
-        raise ShapeError(f"expected (M, d) features, got {feats.shape}")
-    f = feats.data
-    m, d = f.shape
-    pairs = T.pair_index(m)
-    dist = np.empty(pairs.rows.size, dtype=f.dtype)
-    block = min(dist.size, T.BLOCK_ROWS)
-    diff, other = np.empty((2, block, d), dtype=f.dtype)
-    # mode="clip" because the indices are valid and "raise" would copy
-    # each block through a temporary
-    for rows in T.row_blocks(dist.size):
-        size = rows.stop - rows.start
-        np.take(f, pairs.rows[rows], axis=0, out=diff[:size], mode="clip")
-        np.take(f, pairs.cols[rows], axis=0, out=other[:size], mode="clip")
-        np.subtract(diff[:size], other[:size], out=diff[:size])
-        np.multiply(diff[:size], diff[:size], out=diff[:size])
-        np.sum(diff[:size], axis=1, out=dist[rows])
-    np.sqrt(dist, out=dist)
-    data = np.zeros(m * m, dtype=f.dtype)
-    data[pairs.upper] = dist
-    data[pairs.lower] = dist
-
-    def vjp(g):
-        flat = g.reshape(-1)
-        per_pair = np.zeros_like(dist)
-        np.divide(flat[pairs.upper] + flat[pairs.lower], dist,
-                  out=per_pair, where=dist > 0)
-        c = np.zeros(m * m, dtype=g.dtype)
-        c[pairs.upper] = per_pair
-        c[pairs.lower] = per_pair
-        c = c.reshape(m, m)
-        return (c.sum(axis=1)[:, None] * f - c @ f,)
-
-    return T._emit(data.reshape(m, m), (feats,), vjp)
+    return T.symmetric_from_pairs(T.pair_distances(feats), feats.shape[0])
 
 
 def init_relative_channel(rel_feats):

@@ -27,7 +27,6 @@ from .graph import (
     FULL_CHANNELS,
     init_edges,
     init_relative_channel,
-    pairwise_distances,
     readout_for,
     relative_features,
 )
@@ -37,6 +36,9 @@ STANDARDIZE_EPS = 1e-5
 # metric scores live in [SCORE_EPS, 1 - SCORE_EPS]; bounds the logit
 # range the edge update can express at about +-16
 SCORE_EPS = 1e-7
+
+# rng stream tag of parameter init; train.py has the train and eval tags
+STREAM_INIT = 0xA0
 
 # the allowed values of each enumerated ModelConfig field; the command
 # line offers the same tuples as its choices
@@ -183,7 +185,7 @@ def init_params(config, seed=0):
     """Fresh parameters: uniform Xavier weights, zero biases, unit
     standardization gain. Creation order is fixed so a seed pins every
     value."""
-    rng = make_rng(seed, 0xA0)
+    rng = make_rng(seed, STREAM_INIT)
     dtype = config.np_dtype
     tensors = {}
 
@@ -239,13 +241,13 @@ def metric_scores(params, prefix, feats):
     """Affinity of every vertex pair under one metric net, as (M, M)
     values at least SCORE_EPS away from 0 and 1.
 
-    Both net inputs are symmetric in (i, j) bitwise and zero on the
-    diagonal: the pair distance (``pairwise_distances``, built from
-    explicit row differences) or the per-dimension absolute difference.
-    So the net runs once per unordered pair, on the M(M - 1)/2
-    strict-upper pairs plus one zero row for the whole diagonal, as a
-    single fused node (``T.mlp_scores``), and the scores are spread back
-    symmetrically; the output is exactly symmetric.
+    Both net inputs are symmetric in (i, j) and zero on the diagonal:
+    the pair distance (``T.pair_distances``) or the per-dimension
+    absolute difference (``T.pair_absdiff``). So the net runs once per
+    unordered pair, on the M(M - 1)/2 strict-upper pairs plus one zero
+    row for the whole diagonal, as a single fused node
+    (``T.mlp_scores``), and the scores are spread back symmetrically;
+    the output is exactly symmetric.
 
     The margin matters: a raw sigmoid rounds to exactly 1.0 once its
     input passes ~37, and a channel scaled by the complement of a fully
@@ -255,7 +257,7 @@ def metric_scores(params, prefix, feats):
     """
     cfg = params.config
     if cfg.metric_input == "distance":
-        x = T.upper_pairs(pairwise_distances(feats))
+        x = T.pair_distances(feats)
     else:
         x = T.pair_absdiff(feats)
     weights = [params.t(f"{prefix}.{k}.{w}") for k in range(3) for w in "wb"]
@@ -267,25 +269,9 @@ def metric_scores(params, prefix, feats):
 def channel_normalize(edges):
     """Scale each pair's channel values to sum to one.
 
-    Strict contract: a pair whose channels sum below the guard is a
-    numeric error. The forward path uses the zero-preserving variant
-    below because ablations with a single label channel legitimately
-    produce all-zero pairs at initialization.
+    A pair whose channels sum below DENOM_EPS maps to all zeros instead:
+    ablations with a single label channel start with all-zero pairs.
     """
-    sums = T.tensor_sum(edges, axis=2, keepdims=True)
-    if np.any(sums.data < DENOM_EPS):
-        i, j, _ = np.unravel_index(
-            int(np.argmin(sums.data)), sums.data.shape
-        )
-        raise NumericError(
-            f"channel sum below {DENOM_EPS} at pair ({i}, {j})"
-        )
-    return T.div(edges, sums)
-
-
-def normalize_channels_guarded(edges):
-    """Channel normalization that maps all-zero pairs to all-zero output
-    instead of failing; exact on every pair the strict version accepts."""
     sums = T.tensor_sum(edges, axis=2, keepdims=True)
     dead = sums.data < DENOM_EPS
     if not np.any(dead):
@@ -346,7 +332,7 @@ def vertex_update(u_prev, v_prev, e_prev, params, layer):
     ``forward``), and the previous layer's edges afterwards.
     """
     cfg = params.config
-    weights = normalize_channels_guarded(e_prev)
+    weights = channel_normalize(e_prev)
     parts = [
         T.matmul(T.take_last(weights, idx),
                  v_prev if ch == "relative" else u_prev)
@@ -395,7 +381,7 @@ def edge_update(u_l, v_l, e_prev, params, layer, rel_scores=None, pair_scores=No
     _require_mass(mean_score, cfg.channels,
                   "edge update: vanishing affinity mass")
     rescaled = T.div(scaled, mean_score)
-    return rel_scores, pair_scores, normalize_channels_guarded(rescaled)
+    return rel_scores, pair_scores, channel_normalize(rescaled)
 
 
 @dataclass

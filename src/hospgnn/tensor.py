@@ -81,54 +81,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self):
-        return float(self.data)
-
-    def numpy(self):
-        """A defensive copy of the values."""
-        return np.array(self.data, copy=True)
-
-    def zero_grad(self):
-        self.grad = None
-
-    # arithmetic operators delegate to the module-level primitives
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -457,6 +409,8 @@ def sqrt(a):
 
 
 def absval(a):
+    """|a|. No model path uses it: the fused pair-op tests build their
+    per-op reference chains from it."""
     a = _as_tensor(a)
     data = np.abs(a.data)
     sign = np.sign(a.data)
@@ -479,6 +433,9 @@ def _sigmoid_values(x):
 
 
 def sigmoid(a):
+    """The logistic function as its own node. The model runs it inside
+    ``mlp_scores``; the fused-op tests build their per-op reference
+    chains from this one."""
     a = _as_tensor(a)
     data = _sigmoid_values(a.data)
 
@@ -519,31 +476,6 @@ def pair_index(m):
     return index
 
 
-def upper_pairs(a):
-    """The strict-upper entries of an (M, M) tensor as a (P + 1, 1)
-    column, P = M(M - 1)/2, in ``pair_index`` order, followed by one zero
-    row that stands for the diagonal.
-
-    Meant for symmetric inputs with a zero diagonal (pair distances):
-    a per-pair net then runs once per unordered pair, and
-    ``symmetric_from_pairs`` spreads its P + 1 results back.
-    """
-    a = _as_tensor(a)
-    m = a.shape[0]
-    if a.shape != (m, m):
-        raise ShapeError(f"upper_pairs expects a square matrix, got {a.shape}")
-    upper = pair_index(m).upper
-    data = np.zeros((upper.size + 1, 1), dtype=a.dtype)
-    data[:-1, 0] = a.data.reshape(-1)[upper]
-
-    def vjp(g):
-        full = np.zeros(m * m, dtype=g.dtype)
-        full[upper] = g[:-1, 0]
-        return (full.reshape(m, m),)
-
-    return _emit(data, (a,), vjp)
-
-
 def pair_absdiff(a):
     """|a_i - a_j| for every unordered pair of rows of an (M, d) tensor,
     as (P + 1, d) rows in ``pair_index`` order plus one zero row for the
@@ -569,27 +501,75 @@ def pair_absdiff(a):
     return _emit(data, (a,), vjp)
 
 
+def pair_distances(a):
+    """Euclidean distance between every unordered pair of rows of an
+    (M, d) tensor, in the layout of ``pair_absdiff``: (P + 1, 1) rows in
+    ``pair_index`` order plus one zero row for the diagonal. Built from
+    explicit row differences, as the inner-product identity loses
+    precision catastrophically near zero.
+
+    Backward forms ``sum_j c_ij (a_i - a_j)``, c_ij = c_ji = g_p / d_ij
+    for pair p = (i, j), as one product with the (M, M) matrix c; its
+    rounding error relative to the gradient is about eps |a| / d_ij, what
+    a rounding-level change of the inputs moves (a_i - a_j) / d_ij by. A
+    pair at distance zero has zero subgradient, as ``sqrt`` gives.
+    """
+    a = _as_tensor(a)
+    if a.ndim != 2:
+        raise ShapeError(f"pair_distances expects (M, d) rows, got {a.shape}")
+    f = a.data
+    m, d = f.shape
+    pairs = pair_index(m)
+    data = np.zeros((pairs.rows.size + 1, 1), dtype=f.dtype)
+    dist = data[:-1, 0]
+    block = min(dist.size, BLOCK_ROWS)
+    diff, other = np.empty((2, block, d), dtype=f.dtype)
+    # mode="clip" because the indices are valid and "raise" would copy
+    # each block through a temporary
+    for rows in row_blocks(dist.size):
+        size = rows.stop - rows.start
+        np.take(f, pairs.rows[rows], axis=0, out=diff[:size], mode="clip")
+        np.take(f, pairs.cols[rows], axis=0, out=other[:size], mode="clip")
+        np.subtract(diff[:size], other[:size], out=diff[:size])
+        np.multiply(diff[:size], diff[:size], out=diff[:size])
+        np.sum(diff[:size], axis=1, out=dist[rows])
+    np.sqrt(dist, out=dist)
+
+    def vjp(g):
+        per_pair = np.zeros_like(dist)
+        np.divide(g[:-1, 0], dist, out=per_pair, where=dist > 0)
+        c = np.zeros(m * m, dtype=g.dtype)
+        c[pairs.upper] = per_pair
+        c[pairs.lower] = per_pair
+        c = c.reshape(m, m)
+        return (c.sum(axis=1)[:, None] * f - c @ f,)
+
+    return _emit(data, (a,), vjp)
+
+
 def symmetric_from_pairs(s, m):
     """The symmetric (m, m) matrix whose (i, j) and (j, i) entries are
     pair value p of ``s`` (``pair_index`` order) and whose diagonal is
-    its last value; ``s`` has P + 1 entries, as ``upper_pairs`` rows.
+    its last value; ``s`` holds P + 1 values, as ``mlp_scores`` gives for
+    ``pair_absdiff`` or ``pair_distances`` rows, or those rows themselves.
     Backward folds g + g^T onto the pairs and the trace onto the last."""
     s = _as_tensor(s)
     pairs = pair_index(m)
-    if s.shape != (pairs.upper.size + 1,):
+    if s.size != pairs.upper.size + 1:
         raise ShapeError(f"{m} vertices need {pairs.upper.size + 1} pair "
                          f"values, got {s.shape}")
+    values = s.data.reshape(-1)
     data = np.empty(m * m, dtype=s.dtype)
-    data[pairs.upper] = s.data[:-1]
-    data[pairs.lower] = s.data[:-1]
-    data[pairs.diag] = s.data[-1]
+    data[pairs.upper] = values[:-1]
+    data[pairs.lower] = values[:-1]
+    data[pairs.diag] = values[-1]
 
     def vjp(g):
         flat = g.reshape(-1)
-        out = np.empty_like(s.data)
+        out = np.empty_like(values)
         np.add(flat[pairs.upper], flat[pairs.lower], out=out[:-1])
         out[-1] = flat[pairs.diag].sum()
-        return (out,)
+        return (out.reshape(s.shape),)
 
     return _emit(data.reshape(m, m), (s,), vjp)
 

@@ -18,8 +18,8 @@ from .model import ModelConfig, ModelParams, config_hash, forward, init_params
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 
-# rng stream tags so training, evaluation, and init never share draws
-_STREAM_INIT = 0xA0
+# rng stream tags so training and evaluation never share draws with
+# each other or with parameter init (model.STREAM_INIT)
 _STREAM_TRAIN = 0xB1
 _STREAM_EVAL = 0xC2
 
@@ -213,6 +213,13 @@ def evaluate(ds, params, cfg, episodes, seed=None, workers=1):
     return mean, half
 
 
+def evaluate_test(ds_test, best, cfg, workers=1):
+    """Score a run's best checkpoint on the test split, with episodes
+    drawn from seed + 0x7E57 (validation after iteration k: seed + k)."""
+    return evaluate(ds_test, best.restore(), cfg, cfg.eval_episodes,
+                    seed=cfg.seed + 0x7E57, workers=workers)
+
+
 @dataclass
 class MetricsRow:
     iteration: int
@@ -338,11 +345,7 @@ def run_ablation(ds_train, ds_val, ds_test, base_cfg, axis, values,
     for value in values:
         cfg = _apply_axis(base_cfg, axis, value)
         best, _ = train(ds_train, ds_val, cfg, workers=workers)
-        params = best.restore()
-        acc, ci = evaluate(
-            ds_test, params, cfg, cfg.eval_episodes,
-            seed=cfg.seed + 0x7E57, workers=workers,
-        )
+        acc, ci = evaluate_test(ds_test, best, cfg, workers)
         row = AblationRow(
             axis=axis,
             value=str(value),

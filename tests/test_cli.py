@@ -191,6 +191,20 @@ class TestAblate:
         values = [r.split(",")[1] for r in rows[2:]]
         assert values == ["1", "2"]
 
+    @pytest.mark.parametrize("split", ["val", "test"])
+    def test_dim_mismatch_is_data_error(self, tmp_path, data_files, capsys,
+                                        split):
+        files = dict(data_files)
+        files[split] = synth(tmp_path / "wrong.emb", seed=4, dim=5)
+        out = tmp_path / "ab"
+        rc = main(["ablate", "--train", str(files["train"]),
+                   "--val", str(files["val"]), "--test", str(files["test"]),
+                   "--axis", "layers", "--values", "1",
+                   "--out-dir", str(out), *FAST_MODEL, *FAST_TRAIN])
+        assert rc == 2
+        assert "dimension mismatch" in capsys.readouterr().err
+        assert not out.exists()   # refused before any training
+
     def test_unknown_axis_is_usage_error(self, tmp_path, data_files):
         rc = main(["ablate",
                    "--train", str(data_files["train"]),
@@ -302,6 +316,30 @@ class TestConfigFile:
                    "--val", str(data_files["val"]),
                    "--out-dir", str(tmp_path / "x")])
         assert rc == 1
+
+    @pytest.mark.parametrize("key, value", [
+        ("seed", 9), ("n_way", 3), ("workers", 2), ("iterations", 7),
+    ])
+    def test_model_object_takes_model_options_only(self, tmp_path, capsys,
+                                                   key, value):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"model": {key: value}}))
+        rc = main(TRAIN_ARGV + ["--config", str(cfg_path)])
+        assert rc == 1
+        assert f"key {key!r} in \"model\"" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        {"layers": 2, "model": {"layers": 4}},
+        {"variant": "rd", "model": {"channels": ["relative"]}},
+        {"batch": 2, "batch_episodes": 3},
+    ])
+    def test_option_set_twice_is_usage_error(self, tmp_path, capsys,
+                                             content):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(content))
+        rc = main(TRAIN_ARGV + ["--config", str(cfg_path)])
+        assert rc == 1
+        assert "both set" in capsys.readouterr().err
 
     def test_ints_for_floats_and_null_target_accepted(self, tmp_path):
         cfg_path = tmp_path / "run.json"

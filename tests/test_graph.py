@@ -107,19 +107,24 @@ class TestDistances:
         assert np.array_equal(np.diag(got), np.zeros(6))
 
     def test_one_node_matching_unfused_gradient(self):
-        # near rows (1e-6 apart) and a duplicated row: the folded (M, M)
-        # backward stays within eps |f| / d of the per-op chain, and
-        # zero distance keeps the zero subgradient sqrt gives
+        # near rows (1e-6 apart) and a duplicated row: the one-node pair
+        # distances' backward stays within eps |f| / d of the per-op
+        # chain, and zero distance keeps the zero subgradient sqrt gives
         rng = np.random.default_rng(5)
         feats = rng.normal(size=(6, 4))
         feats[4] = feats[1] + 1e-6 * rng.normal(size=4)
         feats[5] = feats[2]
-        weights = T.Tensor(rng.normal(size=(6, 6)))
+        weights = rng.normal(size=(6, 6))
+        # pair p = (i, j) carries the weight of both (i, j) and (j, i)
+        p = T.pair_index(6)
+        pair_weights = np.append(weights[p.rows, p.cols]
+                                 + weights[p.cols, p.rows], 0.0)[:, None]
         grads, nodes = [], []
-        for fn in (pairwise_distances, unfused_distances):
+        for fn, w in ((T.pair_distances, pair_weights),
+                      (unfused_distances, weights)):
             x = T.Tensor(feats, requires_grad=True)
             with T.Tape() as tape:
-                tape.backward(T.tensor_sum(T.mul(fn(x), weights)))
+                tape.backward(T.tensor_sum(T.mul(fn(x), T.Tensor(w))))
             grads.append(x.grad)
             nodes.append(len(tape))
         assert nodes[0] == 3

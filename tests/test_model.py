@@ -18,7 +18,6 @@ from hospgnn.model import (
     forward,
     init_params,
     metric_scores,
-    normalize_channels_guarded,
     vertex_update,
 )
 
@@ -161,22 +160,11 @@ class TestChannelNormalize:
         assert np.allclose(out[0, 0], [0.25, 0.75])
         assert np.allclose(out[1, 0], [0.5, 0.5])
 
-    def test_strict_raises_on_dead_pair(self):
-        e = T.Tensor(np.zeros((1, 1, 2)))
-        with pytest.raises(NumericError):
-            channel_normalize(e)
-
     def test_guarded_zeroes_dead_pairs(self):
         vals = np.array([[[2.0, 6.0], [0.0, 0.0]]])
-        out = normalize_channels_guarded(T.Tensor(vals)).data
+        out = channel_normalize(T.Tensor(vals)).data
         assert np.allclose(out[0, 0], [0.25, 0.75])
         assert np.array_equal(out[0, 1], [0.0, 0.0])
-
-    def test_guarded_matches_strict_on_live_input(self):
-        vals = np.random.default_rng(0).uniform(0.1, 2.0, size=(4, 4, 3))
-        a = channel_normalize(T.Tensor(vals)).data
-        b = normalize_channels_guarded(T.Tensor(vals)).data
-        assert np.array_equal(a, b)
 
 
 def one_hot_edges(targets, channel, n_channels, m, dtype=np.float64):
@@ -360,7 +348,7 @@ class TestEdgeUpdate:
         u = T.Tensor(rng.normal(size=(m, cfg.embed_dim)).astype(cfg.np_dtype))
         v = T.Tensor(rng.normal(size=(m, cfg.embed_dim)).astype(cfg.np_dtype))
         raw = rng.uniform(0.1, 1.0, size=(m, m, len(cfg.channels)))
-        e = normalize_channels_guarded(T.Tensor(raw.astype(cfg.np_dtype)))
+        e = channel_normalize(T.Tensor(raw.astype(cfg.np_dtype)))
         return params, u, v, e
 
     def test_constant_scores_leave_normalized_edges_fixed(self):

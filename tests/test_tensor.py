@@ -206,15 +206,22 @@ class TestPairOps:
         assert T.pair_index(4) is p
         assert not p.upper.flags.writeable
 
-    def test_upper_pairs_and_symmetric_round_trip(self):
+    def test_pair_distances_and_symmetric_round_trip(self):
         s = np.arange(7.0)
         full = T.symmetric_from_pairs(t(s), 4).data
         assert np.array_equal(full, full.T)
         assert np.array_equal(np.diag(full), [6.0] * 4)
         assert full[1, 3] == s[4]
-        col = T.upper_pairs(t(full)).data
-        assert col.shape == (7, 1)
-        assert np.array_equal(col[:-1, 0], s[:-1]) and col[-1, 0] == 0.0
+        a = np.random.default_rng(1).normal(size=(4, 3))
+        col = T.pair_distances(t(a)).data
+        p = T.pair_index(4)
+        want = np.sqrt(((a[p.rows] - a[p.cols]) ** 2).sum(axis=1))
+        assert col.shape == (7, 1) and col[-1, 0] == 0.0
+        assert np.abs(col[:-1, 0] - want).max() < 1e-14
+        spread = T.symmetric_from_pairs(t(col), 4).data
+        assert np.array_equal(spread[p.rows, p.cols], col[:-1, 0])
+        assert np.array_equal(spread, spread.T)
+        assert np.array_equal(np.diag(spread), np.zeros(4))
 
     def test_pair_absdiff_rows(self):
         a = np.random.default_rng(1).normal(size=(4, 3))
@@ -227,12 +234,12 @@ class TestPairOps:
     def test_grad_checks(self):
         rng = np.random.default_rng(2)
         a = t(near_rows(rng, 5, 3))
-        sq = t(rng.normal(size=(5, 5)))
+        b = t(rng.normal(size=(5, 3)))
         s = t(rng.normal(size=11))
         cases = [
             # steps below the 1e-6 gap: no absolute difference flips sign
             (T.pair_absdiff, a, (11, 3), 1e-8),
-            (T.upper_pairs, sq, (11, 1), 1e-6),
+            (T.pair_distances, b, (11, 1), 1e-6),
             (lambda v: T.symmetric_from_pairs(v, 5), s, (5, 5), 1e-6),
         ]
         for op, x, shape, eps in cases:
@@ -281,8 +288,7 @@ class TestPairOps:
                      requires_grad=True)
         weights = score_weights(rng, 4, 5, dtype=np.float32)
         with T.Tape() as tape:
-            gram = T.matmul(a, T.reshape(a, (3, 4)))
-            x = T.concat([T.pair_absdiff(a), T.upper_pairs(gram)], axis=1)
+            x = T.concat([T.pair_absdiff(a), T.pair_distances(a)], axis=1)
             s = T.mlp_scores(x, *weights, slope=0.01, margin=1e-7)
             full = T.symmetric_from_pairs(s, 4)
             tape.backward(T.tensor_sum(full))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hospgnn import losses, tensor as T
-from hospgnn.data import make_rng, sample_episode, synth_clusters
+from hospgnn.data import (
+    make_rng, sample_episode, synth_benchmark, synth_clusters)
 from hospgnn.errors import ConfigError, DataError, NumericError
 from hospgnn.losses import episodic_ce, manifold_loss, predict_labels, total_loss
 from hospgnn.model import ModelConfig, forward, init_params
@@ -19,6 +20,8 @@ from hospgnn.train import (
     save_checkpoint,
     train,
 )
+
+from test_acceptance import C5_MODEL, C5_TRAIN
 
 
 def small_cfg(**kw):
@@ -248,6 +251,20 @@ class TestTrainLoop:
         )
         best, _ = train(train_pool, val_pool, cfg)
         assert not any("relnet" in n for n in best.arrays)
+
+
+class TestFloat32:
+    def test_reaches_the_desk_target(self):
+        # criterion 5's data, model and run, in float32
+        ds_train, ds_val, ds_test = synth_benchmark(
+            20, 8, 8, per_class=30, dim=16, sep=6.0, seed=1)
+        cfg = TrainConfig(model=ModelConfig(dtype="float32", **C5_MODEL),
+                          **C5_TRAIN)
+        best, _ = train(ds_train, ds_val, cfg)
+        params = best.restore()
+        assert all(p.dtype == np.float32 for p in params.values())
+        acc, _ = evaluate(ds_test, params, cfg, episodes=50, seed=999)
+        assert acc >= 0.95
 
 
 class TestEvaluate:
