@@ -167,11 +167,23 @@ def load_config_defaults(path):
     Flags given on the command line still win: these only replace the
     parser defaults. Each value must have its option's type, or be null
     where the default is None; a nested "model" object holds model
-    options only, and no option may be set twice, under either spelling
-    or in both places. A violation is a config error naming the key.
+    options only, and no option may be set twice, under either spelling,
+    in both places or as a repeated key of one object. A violation is a
+    config error naming the key.
     """
+
+    def unique_keys(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ConfigError(
+                    f"config file {path}: key {key!r} appears twice in "
+                    f"one object")
+            seen.add(key)
+        return dict(pairs)
+
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), object_pairs_hook=unique_keys)
     except FileNotFoundError:
         raise DataError(f"config file {path} not found") from None
     except json.JSONDecodeError as exc:

@@ -16,25 +16,26 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, DataError
 from .graph import channel_index, readout_for
-from .model import channel_affinities
 
 
-def _readout_matrices(episode, dtype):
-    """Constant selectors: query rows of the edge tensor, and the
+def _readout(graph, episode, channel):
+    """The keyword arguments of ``T.readout_logits`` and ``T.readout_ce``
+    for one episode: the query rows of the edge tensor, the channel read
+    (the dissimilar one as its complement), and the constant
     visible-support-by-class indicator."""
-    m = episode.m
-    n = episode.n_way
-    queries = np.flatnonzero(episode.is_query)
-    picker = np.zeros((queries.size, m), dtype=dtype)
-    picker[np.arange(queries.size), queries] = 1.0
-    indicator = np.zeros((m, n), dtype=dtype)
+    if channel is None:
+        channel = readout_for(graph.channels)
+    idx = channel_index(graph.channels, channel)
+    indicator = np.zeros((episode.m, episode.n_way),
+                         dtype=graph.edges[0].dtype)
     for j in np.flatnonzero(episode.label_mask):
         indicator[j, episode.class_slots[j]] = 1.0
     per_class = indicator.sum(axis=0)
     if np.any(per_class < 1):
         missing = np.flatnonzero(per_class < 1).tolist()
         raise DataError(f"no visible support for class slot(s) {missing}")
-    return picker, indicator
+    return dict(queries=np.flatnonzero(episode.is_query), channel=idx,
+                indicator=indicator, complement=channel == "dissimilar")
 
 
 def predict_labels(graph, episode, channel=None, layer=None):
@@ -46,20 +47,17 @@ def predict_labels(graph, episode, channel=None, layer=None):
     value, so larger always means more alike. Rows are softmax over the
     episode's classes, ordered by class slot. The channel defaults to
     ``readout_for`` of the enabled channels.
+
+    The probabilities are values, recorded on no tape: the training
+    loss differentiates the same scores through ``T.readout_ce``.
     """
-    if channel is None:
-        channel = readout_for(graph.channels)
     if layer is None:
         layer = graph.num_layers
     if not (1 <= layer <= graph.num_layers):
         raise ConfigError(f"layer must be in 1..{graph.num_layers}, got {layer}")
-    idx = channel_index(graph.channels, channel)
-    edges = T.take_last(graph.edges[layer], idx)
-    if channel == "dissimilar":
-        edges = T.sub(1.0, edges)
-    picker, indicator = _readout_matrices(episode, edges.dtype)
-    logits = T.matmul(T.matmul(T.Tensor(picker), edges), T.Tensor(indicator))
-    return T.softmax(logits, axis=-1)
+    logits = T.readout_logits(graph.edges[layer].data,
+                              **_readout(graph, episode, channel))
+    return T.softmax(T.Tensor(logits), axis=-1)
 
 
 def hard_labels(pred_rows):
@@ -79,16 +77,12 @@ def accuracy(graph, episode, channel=None, layer=None):
 
 
 def per_layer_ce(graph, episode, channel=None):
-    """Cross-entropy of each level's predictions, meaned over queries."""
+    """Cross-entropy of each level's predictions, meaned over queries,
+    one ``T.readout_ce`` node per level."""
+    readout = _readout(graph, episode, channel)
     truth = query_slots(episode)
-    losses = []
-    for layer in range(1, graph.num_layers + 1):
-        rows = predict_labels(graph, episode, channel=channel, layer=layer)
-        onehot = np.zeros(rows.shape, dtype=rows.dtype)
-        onehot[np.arange(truth.size), truth] = 1.0
-        picked = T.tensor_sum(T.mul(rows, T.Tensor(onehot)), axis=1)
-        losses.append(T.neg(T.tensor_mean(T.log(picked))))
-    return losses
+    return [T.readout_ce(graph.edges[layer], truth=truth, **readout)
+            for layer in range(1, graph.num_layers + 1)]
 
 
 def _add_all(terms):
@@ -107,21 +101,14 @@ def episodic_ce(graph, episode, channel=None):
 def per_layer_manifold(graph):
     """Structure terms per layer, each a (C,) tensor in channel order.
 
-    Layer l weighs its fresh channel affinities (``channel_affinities``,
-    the same ones its edge update rescaled by) by the previous level's
-    edge values; each channel's term is a mean over all M*M pairs.
+    Layer l weighs its fresh channel affinities (the stack its edge
+    update rescaled by, kept in ``graph.affinities``) by the previous
+    level's edge values; each channel's term is a mean over all M*M
+    pairs.
     """
     return [
-        T.tensor_mean(
-            T.mul(
-                channel_affinities(graph.channels,
-                                   graph.rel_affinities[layer],
-                                   graph.pair_affinities[layer]),
-                graph.edges[layer],
-            ),
-            axis=(0, 1),
-        )
-        for layer in range(graph.num_layers)
+        T.tensor_mean(T.mul(stack, edges), axis=(0, 1))
+        for stack, edges in zip(graph.affinities, graph.edges)
     ]
 
 

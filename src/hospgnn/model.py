@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
 from . import tensor as T
 from .data import make_rng
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, ShapeError
 from .graph import (
     CHANNEL_ORDER,
     DENOM_EPS,
@@ -272,30 +272,7 @@ def channel_normalize(edges):
     A pair whose channels sum below DENOM_EPS maps to all zeros instead:
     ablations with a single label channel start with all-zero pairs.
     """
-    sums = T.tensor_sum(edges, axis=2, keepdims=True)
-    dead = sums.data < DENOM_EPS
-    if not np.any(dead):
-        return T.div(edges, sums)
-    dtype = edges.dtype
-    keep = T.Tensor((~dead).astype(dtype))
-    safe = T.add(sums, T.Tensor(dead.astype(dtype)))
-    return T.div(T.mul(edges, keep), safe)
-
-
-def _require_mass(mass, channels, what):
-    """Raise when any entry of an (M, 1, C) per-row, per-channel mass is
-    below the guard, naming the row and the channel of the smallest."""
-    if np.any(mass.data < DENOM_EPS):
-        i, _, c = np.unravel_index(int(np.argmin(mass.data)), mass.shape)
-        raise NumericError(f"{what} on row {i}, channel {channels[c]!r}")
-
-
-def _row_mass(edges, channels, what):
-    """Each row's total weight in each channel of an (M, M, C) edge
-    tensor, as (M, 1, C); an empty row is a numeric error."""
-    mass = T.tensor_sum(edges, axis=1, keepdims=True)
-    _require_mass(mass, channels, what)
-    return mass
+    return T.normalize_last(edges, DENOM_EPS)
 
 
 def channel_affinities(channels, rel_scores, pair_scores):
@@ -304,17 +281,14 @@ def channel_affinities(channels, rel_scores, pair_scores):
     The relative channel takes the relative-net scores, the similar
     channel the pair-net scores, and the dissimilar channel their
     complement. This is the one place that maps a channel to its
-    affinity: the edge update and the structure loss both read it.
+    affinity; the edge update builds the stack once per layer, and the
+    structure loss reads it from the ``EpisodeGraph``.
     """
-    parts = []
-    for ch in channels:
-        if ch == "relative":
-            parts.append(rel_scores)
-        elif ch == "similar":
-            parts.append(pair_scores)
-        else:
-            parts.append(T.sub(1.0, pair_scores))
-    return T.stack_last(parts)
+    parts = [rel_scores if ch == "relative" else pair_scores
+             for ch in channels]
+    complement = tuple(k for k, ch in enumerate(channels)
+                       if ch == "dissimilar")
+    return T.stack_last(parts, complement=complement)
 
 
 def vertex_update(u_prev, v_prev, e_prev, params, layer):
@@ -322,9 +296,10 @@ def vertex_update(u_prev, v_prev, e_prev, params, layer):
 
     The relative channel aggregates difference features, the label
     channels aggregate the vertex features themselves. Aggregates are
-    concatenated in channel order and mapped through the vertex net.
-    The (M, M, C) weights are the pair-normalized edge values, computed
-    once for all channels.
+    concatenated in channel order (``T.pool_channels``), followed by the
+    self term when enabled, and mapped through the vertex net. The
+    (M, M, C) weights are the pair-normalized edge values, computed once
+    for all channels.
 
     ``e_prev`` is the edge tensor to pool over: ``forward`` passes the
     label-blind initial edges to layer 0, so visible labels cannot
@@ -332,55 +307,44 @@ def vertex_update(u_prev, v_prev, e_prev, params, layer):
     ``forward``), and the previous layer's edges afterwards.
     """
     cfg = params.config
-    weights = channel_normalize(e_prev)
-    parts = [
-        T.matmul(T.take_last(weights, idx),
-                 v_prev if ch == "relative" else u_prev)
-        for idx, ch in enumerate(cfg.channels)
-    ]
-    if cfg.aggregate_self:
-        parts.append(u_prev)
-    x = T.concat(parts, axis=1)
+    sources = [v_prev if ch == "relative" else u_prev for ch in cfg.channels]
+    x = T.pool_channels(channel_normalize(e_prev), sources,
+                        tail=u_prev if cfg.aggregate_self else None)
     out = _linear(params, f"layer{layer}.vertex", x)
     if cfg.standardize_vertex:
-        mean = T.tensor_mean(out, axis=0, keepdims=True)
-        centered = T.sub(out, mean)
-        var = T.tensor_mean(T.mul(centered, centered), axis=0, keepdims=True)
-        out = T.div(centered, T.sqrt(T.add(var, STANDARDIZE_EPS)))
-        out = T.add(
-            T.mul(out, params.t(f"layer{layer}.vertex.gain")),
-            params.t(f"layer{layer}.vertex.shift"),
-        )
+        out = T.standardize(out, params.t(f"layer{layer}.vertex.gain"),
+                            params.t(f"layer{layer}.vertex.shift"),
+                            STANDARDIZE_EPS)
     u_next = T.leaky_relu(out, cfg.leaky_slope)
     return u_next, relative_features(u_next)
 
 
-def edge_update(u_l, v_l, e_prev, params, layer, rel_scores=None, pair_scores=None):
+def edge_update(u_l, v_l, e_prev, params, layer, rel_scores=None,
+                pair_scores=None, stacks=None):
     """Evolve every enabled channel, then re-normalize pairs.
 
-    One pass over the (M, M, C) tensor: old values are scaled by the
-    fresh channel affinities (``channel_affinities``), then divided by
-    their row's affinity-weighted mean, so a uniformly-scored row is
-    left unchanged. Row mass and mean are (M, 1, C); a row with no mass,
-    or with vanishing affinity mass, in some channel is a numeric error
-    naming the row and the channel.
+    One pass over the (M, M, C) tensor (``T.edge_rescale``): old values
+    are scaled by the fresh channel affinities (``channel_affinities``),
+    then divided by their row's affinity-weighted mean, so a
+    uniformly-scored row is left unchanged. A row with no mass, or with
+    vanishing affinity mass, in some channel is a numeric error naming
+    the row and the channel.
 
-    Affinity matrices may be passed in (stub networks in tests, reuse by
-    the structure loss); by default they are computed from this layer's
-    features. Returns the retained affinities with the new edge tensor.
+    Score matrices may be passed in (stub networks in tests); by default
+    they are computed from this layer's features. ``stacks``, when
+    given, is a list the affinity stack is appended to, for the
+    structure loss. Returns the retained scores with the new edge
+    tensor.
     """
     cfg = params.config
     if rel_scores is None and cfg.needs_relative_net:
         rel_scores = metric_scores(params, f"layer{layer}.relnet", v_l)
     if pair_scores is None and cfg.needs_pair_net:
         pair_scores = metric_scores(params, f"layer{layer}.pairnet", u_l)
-    row_mass = _row_mass(e_prev, cfg.channels, "edge update: zero total weight")
-    scaled = T.mul(channel_affinities(cfg.channels, rel_scores, pair_scores),
-                   e_prev)
-    mean_score = T.div(T.tensor_sum(scaled, axis=1, keepdims=True), row_mass)
-    _require_mass(mean_score, cfg.channels,
-                  "edge update: vanishing affinity mass")
-    rescaled = T.div(scaled, mean_score)
+    affinity = channel_affinities(cfg.channels, rel_scores, pair_scores)
+    if stacks is not None:
+        stacks.append(affinity)
+    rescaled = T.edge_rescale(affinity, e_prev, cfg.channels, DENOM_EPS)
     return rel_scores, pair_scores, channel_normalize(rescaled)
 
 
@@ -390,8 +354,9 @@ class EpisodeGraph:
 
     Index 0 of ``vertex_feats``/``diff_feats``/``edges`` is the initial
     graph; index l is the state after layer l. The affinity lists have
-    one entry per layer (entry l-1 belongs to layer l) and are reused by
-    the structure-preservation loss.
+    one entry per layer (entry l-1 belongs to layer l): the raw metric
+    scores, and the (M, M, C) affinity stacks the edge updates rescaled
+    by, which the structure-preservation loss reads.
     """
 
     channels: tuple
@@ -400,6 +365,7 @@ class EpisodeGraph:
     edges: list
     rel_affinities: list
     pair_affinities: list
+    affinities: list = field(default_factory=list)
 
     @property
     def num_layers(self):
@@ -434,11 +400,12 @@ def forward(episode, params):
     blind0 = init_edges(episode, cfg.channels, rel_channel=rel0,
                         dtype=cfg.np_dtype, labels=False)
     us, vs, es = [u0], [v0], [e0]
-    rel_affs, pair_affs = [], []
+    rel_affs, pair_affs, stacks = [], [], []
     for layer in range(cfg.layers):
         pool = blind0 if layer == 0 else es[-1]
         u_l, v_l = vertex_update(us[-1], vs[-1], pool, params, layer)
-        rel_s, pair_s, e_l = edge_update(u_l, v_l, es[-1], params, layer)
+        rel_s, pair_s, e_l = edge_update(u_l, v_l, es[-1], params, layer,
+                                         stacks=stacks)
         us.append(u_l)
         vs.append(v_l)
         es.append(e_l)
@@ -451,6 +418,7 @@ def forward(episode, params):
         edges=es,
         rel_affinities=rel_affs,
         pair_affinities=pair_affs,
+        affinities=stacks,
     )
 
 

@@ -120,17 +120,31 @@ class Tape:
             if g is None:
                 continue
             for t, gt in zip(inputs, vjp(g)):
-                if gt is None or not t.requires_grad:
-                    continue
-                if t.grad is None:
-                    t.grad = np.zeros_like(t.data)
-                t.grad += gt
+                if gt is not None and t.requires_grad:
+                    t.grad = _accumulate(t.grad, gt, t.data)
         # every recorded requires_grad tensor ends with a defined grad,
         # including ones off the path to the loss
         for out, inputs, _ in self._nodes:
             for t in (out, *inputs):
                 if t.requires_grad and t.grad is None:
                     t.grad = np.zeros_like(t.data)
+
+
+def _accumulate(grad, g, data):
+    """``grad + g`` as a gradient of ``data``, never written in place: a
+    VJP may hand one array to several inputs (``add``) or return an
+    output's own gradient, so a stored gradient can be shared. The first
+    gradient is stored as is when it has the shape and dtype of
+    ``data``; otherwise, and for every later one, the sum goes to a
+    fresh array of that shape and dtype."""
+    if grad is None:
+        if (type(g) is np.ndarray and g.shape == data.shape
+                and g.dtype == data.dtype):
+            return g
+        out = np.empty_like(data)
+        np.copyto(out, g, casting="same_kind")
+        return out
+    return np.add(grad, g, out=np.empty_like(data))
 
 
 def _as_tensor(x, like=None):
@@ -241,15 +255,6 @@ def div(a, b):
     return _emit(data, (a, b), vjp)
 
 
-def neg(a):
-    a = _as_tensor(a)
-
-    def vjp(g):
-        return (-g,)
-
-    return _emit(-a.data, (a,), vjp)
-
-
 def matmul(a, b):
     a, b = _coerce_pair(a, b)
     if a.ndim != 2 or b.ndim != 2:
@@ -315,6 +320,8 @@ def tensor_mean(a, axis=None, keepdims=False):
 
 
 def reshape(a, shape):
+    """``a`` in a new shape. No model path uses it: the fused-op tests
+    build their per-op reference chains from it."""
     a = _as_tensor(a)
     orig = a.shape
     data = a.data.reshape(shape)
@@ -326,6 +333,8 @@ def reshape(a, shape):
 
 
 def concat(tensors, axis=0):
+    """Join tensors along one axis. No model path uses it: the tests of
+    ``pool_channels`` build their per-op reference chain from it."""
     ts = [_as_tensor(t) for t in tensors]
     if not ts:
         raise ShapeError("concat of an empty sequence")
@@ -346,14 +355,33 @@ def concat(tensors, axis=0):
     return _emit(data, tuple(ts), vjp)
 
 
-def stack_last(tensors):
-    """Stack same-shape tensors along a fresh trailing axis."""
+def stack_last(tensors, complement=()):
+    """Stack same-shape tensors along a fresh trailing axis, as one node.
+    Slice k holds ``1 - tensors[k]`` for each k in ``complement``; a
+    tensor may appear more than once."""
     ts = [_as_tensor(t) for t in tensors]
-    return concat([reshape(t, t.shape + (1,)) for t in ts], axis=-1)
+    if not ts or any(t.shape != ts[0].shape for t in ts):
+        raise ShapeError(
+            f"stack_last needs same-shape tensors, got {[t.shape for t in ts]}")
+    data = np.empty(ts[0].shape + (len(ts),),
+                    dtype=np.result_type(*(t.data for t in ts)))
+    for k, t in enumerate(ts):
+        if k in complement:
+            np.subtract(1.0, t.data, out=data[..., k])
+        else:
+            data[..., k] = t.data
+
+    def vjp(g):
+        return tuple(-g[..., k] if k in complement else g[..., k]
+                     for k in range(len(ts)))
+
+    return _emit(data, tuple(ts), vjp)
 
 
 def take_last(a, index):
-    """Select one slice along the trailing axis, dropping that axis."""
+    """Select one slice along the trailing axis, dropping that axis. No
+    model path uses it: the tests of ``pool_channels`` build their
+    per-op reference chain from it."""
     a = _as_tensor(a)
     if a.ndim < 1:
         raise ShapeError("take_last needs at least one axis")
@@ -382,6 +410,8 @@ def exp(a):
 
 
 def log(a):
+    """Natural logarithm. No model path uses it: the tests of
+    ``readout_ce`` build their per-op reference chain from it."""
     a = _as_tensor(a)
     if np.any(a.data <= 0):
         raise NumericError("log of a non-positive value")
@@ -395,6 +425,8 @@ def log(a):
 
 
 def sqrt(a):
+    """Square root. No model path uses it: the tests of the distance and
+    standardisation ops build their per-op reference chains from it."""
     a = _as_tensor(a)
     if np.any(a.data < 0):
         raise NumericError("sqrt of a negative value")
@@ -692,6 +724,197 @@ def softmax(a, axis=-1):
     shift = Tensor(np.max(a.data, axis=axis, keepdims=True))
     e = exp(sub(a, shift))
     return div(e, tensor_sum(e, axis=axis, keepdims=True))
+
+
+def normalize_last(a, eps):
+    """Scale each trailing-axis vector of an (M, M, C) tensor to sum to
+    one, as one node. A vector summing below ``eps`` maps to zeros
+    instead, with zero gradient.
+
+    Backward: (g - sum_c g_c y_c) / s on every live vector, y the output
+    and s the vector's sum.
+    """
+    a = _as_tensor(a)
+    if a.ndim != 3:
+        raise ShapeError(f"normalize_last expects (M, M, C), got {a.shape}")
+    sums = _sum_kept(a.data, 2)
+    dead = sums < eps
+    any_dead = bool(np.any(dead))
+    if any_dead:
+        sums = np.where(dead, 1.0, sums)
+        live = ~dead
+        data = np.zeros_like(a.data)
+        np.divide(a.data, sums, out=data, where=live)
+    else:
+        data = a.data / sums
+
+    def vjp(g):
+        grad = g - _sum_kept(g * data, 2)
+        grad /= sums
+        if any_dead:
+            grad *= live
+        return (grad,)
+
+    return _emit(data, (a,), vjp)
+
+
+def edge_rescale(affinity, edges, channels, eps):
+    """``s * mass / sum_j s`` for (M, M, C) tensors, with ``s = affinity *
+    edges`` and ``mass = sum_j edges``, as one node: every row of every
+    channel is reweighted by its affinities and keeps the mass it had.
+
+    A row whose mass, or whose affinity-weighted mean ``sum_j s / mass``,
+    is below ``eps`` in some channel is a NumericError naming the row
+    and the channel (``channels`` names the trailing axis).
+
+    Backward, with q = sum_j g y / mass per row and channel (y the
+    output) and mean = sum_j s / mass: the gradient of s is
+    (g - q) / mean, and ``edges`` also receives q along its row.
+    """
+    a, e = _coerce_pair(affinity, edges)
+    if a.ndim != 3 or a.shape != e.shape:
+        raise ShapeError(f"edge_rescale expects two equal (M, M, C) "
+                         f"tensors, got {a.shape} and {e.shape}")
+
+    def require(values, what):
+        if np.any(values < eps):
+            i, _, c = np.unravel_index(int(np.argmin(values)), values.shape)
+            raise NumericError(
+                f"edge update: {what} on row {i}, channel {channels[c]!r}")
+
+    mass = _sum_kept(e.data, 1)
+    require(mass, "zero total weight")
+    scaled = a.data * e.data
+    mean = _sum_kept(scaled, 1) / mass
+    require(mean, "vanishing affinity mass")
+    data = scaled / mean
+
+    def vjp(g):
+        q = _sum_kept(g * data, 1)
+        q /= mass
+        gs = g - q
+        gs /= mean
+        return (gs * e.data if a.requires_grad else None,
+                gs * a.data + q if e.requires_grad else None)
+
+    return _emit(data, (a, e), vjp)
+
+
+def pool_channels(weights, sources, tail=None):
+    """``concat_c(weights[..., c] @ sources[c])`` along the feature axis,
+    then ``tail`` as it is, as one node: each vertex pools every source
+    with its own channel's (M, M) weights. ``weights`` is (M, M, C),
+    ``sources`` holds C (M, d_c) tensors (one may appear more than
+    once), ``tail`` is None or an (M, d) tensor.
+    """
+    w = _as_tensor(weights)
+    srcs = [_as_tensor(t) for t in sources]
+    if tail is not None:
+        srcs.append(_as_tensor(tail))
+    n_pooled = len(sources)
+    if w.ndim != 3 or w.shape[2] != n_pooled:
+        raise ShapeError(f"pool_channels: weights {w.shape} for "
+                         f"{n_pooled} sources")
+    m = w.shape[0]
+    if any(t.ndim != 2 or t.shape[0] != m for t in srcs):
+        raise ShapeError(f"pool_channels expects ({m}, d) sources, got "
+                         f"{[t.shape for t in srcs]}")
+    # one (M, M) plane per channel, each contiguous for BLAS
+    planes = np.ascontiguousarray(np.moveaxis(w.data, -1, 0))
+    bounds = np.cumsum([0] + [t.shape[1] for t in srcs])
+    data = np.empty((m, bounds[-1]),
+                    dtype=np.result_type(w.data, *(t.data for t in srcs)))
+    for c, t in enumerate(srcs):
+        data[:, bounds[c]:bounds[c + 1]] = (
+            planes[c] @ t.data if c < n_pooled else t.data)
+
+    def vjp(g):
+        gw = np.empty_like(w.data) if w.requires_grad else None
+        grads = []
+        for c, t in enumerate(srcs):
+            gc = g[:, bounds[c]:bounds[c + 1]]
+            if c == n_pooled:
+                grads.append(gc)
+                continue
+            if gw is not None:
+                gw[..., c] = gc @ t.data.T
+            grads.append(planes[c].T @ gc if t.requires_grad else None)
+        return (gw, *grads)
+
+    return _emit(data, (w, *srcs), vjp)
+
+
+def standardize(a, gain, shift, eps):
+    """Each column of an (N, d) tensor minus its mean, over the root of
+    its population variance plus ``eps``, then times ``gain`` plus
+    ``shift`` ((d,) each), as one node.
+
+    Backward, with h = g gain and x^ the standardised input:
+    (h - mean(h) - x^ mean(h x^)) / sd per column.
+    """
+    a, gain, shift = inputs = tuple(_as_tensor(t) for t in (a, gain, shift))
+    if a.ndim != 2 or gain.shape != a.shape[1:] or shift.shape != gain.shape:
+        raise ShapeError(f"standardize expects (N, d) rows with (d,) gain "
+                         f"and shift, got {a.shape}, {gain.shape}, "
+                         f"{shift.shape}")
+    centered = a.data - a.data.mean(axis=0, keepdims=True)
+    sd = np.sqrt((centered * centered).mean(axis=0, keepdims=True) + eps)
+    unit = centered / sd
+    data = unit * gain.data + shift.data
+
+    def vjp(g):
+        h = g * gain.data
+        grad = h - h.mean(axis=0, keepdims=True)
+        grad -= unit * (h * unit).mean(axis=0, keepdims=True)
+        grad /= sd
+        return grad, (g * unit).sum(axis=0), g.sum(axis=0)
+
+    return _emit(data, inputs, vjp)
+
+
+def readout_logits(edges, queries, channel, indicator, complement=False):
+    """Class scores read from one channel of an (M, M, C) edge array, as
+    a plain (Q, n) array: row q sums the edge values from vertex
+    ``queries[q]`` to the vertices the (M, n) ``indicator`` assigns to
+    each class. ``complement`` reads each value as one minus it.
+    ``readout_ce`` differentiates this same rule."""
+    plane = np.ascontiguousarray(edges[queries, :, channel])
+    if complement:
+        plane = 1.0 - plane
+    return plane @ indicator
+
+
+def readout_ce(edges, queries, channel, indicator, truth, complement=False):
+    """Softmax cross-entropy of the ``readout_logits`` scores against the
+    (Q,) class indices ``truth``, meaned over queries, as one node.
+
+    Backward: the logits receive g (p - onehot(truth)) / Q, p the
+    softmax rows, which flow back to the read edge values through the
+    indicator.
+    """
+    edges = _as_tensor(edges)
+    logits = readout_logits(edges.data, queries, channel, indicator,
+                            complement)
+    if np.any(np.isnan(logits)):
+        raise NumericError("readout of NaN edge values")
+    exps = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = exps / exps.sum(axis=1, keepdims=True)
+    rows = np.arange(len(queries))
+    picked = probs[rows, truth]
+    if np.any(picked <= 0):
+        raise NumericError("log of a non-positive value")
+    data = -np.log(picked).mean()
+
+    def vjp(g):
+        glogits = probs.copy()
+        glogits[rows, truth] -= 1.0
+        glogits *= g / len(queries)
+        plane = glogits @ indicator.T
+        grad = np.zeros_like(edges.data)
+        grad[queries, :, channel] = -plane if complement else plane
+        return (grad,)
+
+    return _emit(data, (edges,), vjp)
 
 
 def _central_differences(f, params, epsilon):

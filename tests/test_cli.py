@@ -341,6 +341,19 @@ class TestConfigFile:
         assert rc == 1
         assert "both set" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"layers": 2, "layers": 4}', "layers"),
+        ('{"model": {"hidden_dim": 8, "hidden_dim": 16}}', "hidden_dim"),
+    ])
+    def test_repeated_key_in_one_object_is_usage_error(self, tmp_path,
+                                                       capsys, text, key):
+        # raw text: json.dumps cannot write a repeated key
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(text)
+        rc = main(TRAIN_ARGV + ["--config", str(cfg_path)])
+        assert rc == 1
+        assert f"key {key!r} appears twice" in capsys.readouterr().err
+
     def test_ints_for_floats_and_null_target_accepted(self, tmp_path):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"learning_rate": 1,

@@ -118,6 +118,14 @@ class TestReadout:
         with pytest.raises(DataError, match=r"class slot"):
             predict_labels(g, tiny_task(visible=(True, False)))
 
+    @pytest.mark.parametrize("read", [predict_labels, episodic_ce])
+    def test_hidden_class_is_named_by_readout_and_loss(self, read):
+        g = graph_from_edges([np.zeros((4, 4, 1)), similar_layer(
+            [0.5, 0.5], [0.5, 0.5])])
+        with pytest.raises(DataError, match=r"no visible support for "
+                           r"class slot\(s\) \[1\]"):
+            read(g, tiny_task(visible=(True, False)))
+
     def test_layer_selection_and_bounds(self):
         l1 = similar_layer([0.9, 0.1], [0.9, 0.1])
         l2 = similar_layer([0.1, 0.9], [0.1, 0.9])

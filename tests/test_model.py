@@ -7,7 +7,13 @@ from hospgnn import tensor as T
 from hospgnn.data import make_rng, sample_episode, synth_clusters
 from hospgnn.errors import ConfigError, NumericError
 from hospgnn.graph import FULL_CHANNELS
-from hospgnn.losses import predict_labels, report_losses
+from hospgnn.losses import (
+    episodic_ce,
+    manifold_loss,
+    predict_labels,
+    report_losses,
+    total_loss,
+)
 from hospgnn.model import (
     SCORE_EPS,
     ModelConfig,
@@ -340,6 +346,27 @@ class TestMetricNets:
             counts.append(len(tape))
         assert counts[0] == counts[1] == counts[2] <= 4, counts
 
+    def test_training_episode_tape_budget(self):
+        # a training step of the benchmark's model (criterion 5's: no
+        # encoder, 3 layers, standardised vertices, self term) at M = 16
+        # (2-way 5-shot 3-query, 40% labels) and M = 80 (5-way 1-shot
+        # 15-query)
+        cfg = ModelConfig(feature_dim=16, layers=3, hidden_dim=32,
+                          use_encoder=False, metric_hidden=32,
+                          standardize_vertex=True, aggregate_self=True)
+        params = init_params(cfg, seed=8)
+        pool = synth_clusters(6, 20, 16, sep=6.0, seed=8)
+        counts = []
+        for shape in ((2, 5, 3, 0.4), (5, 1, 15, 1.0)):
+            ep = sample_episode(pool, *shape, rng=make_rng(8, 1))
+            with T.Tape() as tape:
+                graph = forward(ep, params)
+                total = total_loss(episodic_ce(graph, ep),
+                                   manifold_loss(graph), 1e-5)
+                tape.backward(T.mul(total, 0.25))
+            counts.append(len(tape))
+        assert counts[0] == counts[1] <= 80, counts
+
 
 class TestEdgeUpdate:
     def make_inputs(self, cfg, m=5, seed=14):
@@ -387,6 +414,19 @@ class TestEdgeUpdate:
         dead[2, :, 1] = 0.0
         with pytest.raises(NumericError, match="row 2, channel 'similar'"):
             edge_update(u, v, T.Tensor(dead), params, 0)
+
+    def test_vanishing_affinity_mass_raises(self):
+        cfg = ModelConfig(feature_dim=4, hidden_dim=4, use_encoder=False,
+                          metric_hidden=8)
+        params, u, v, e = self.make_inputs(cfg)
+        m = e.shape[0]
+        pair = np.full((m, m), 0.5)
+        pair[3] = 1e-15   # row 3 of the similar channel scores ~0
+        with pytest.raises(NumericError, match="edge update: vanishing "
+                           "affinity mass on row 3, channel 'similar'"):
+            edge_update(u, v, e, params, 0,
+                        rel_scores=T.Tensor(np.full((m, m), 0.5)),
+                        pair_scores=T.Tensor(pair))
 
 
 def naive_worst_gap(episode, cfg, seed=0):

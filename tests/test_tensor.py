@@ -132,6 +132,18 @@ class TestBackward:
             tape.backward(used)
         assert np.array_equal(y.grad, np.zeros(3))
 
+    def test_shared_gradient_array_is_never_written_in_place(self):
+        # add's VJP hands one array to both inputs; x then receives a
+        # second contribution, which must not reach y's gradient
+        x, y = t(np.ones(3)), t(np.ones(3))
+        w = t([1.0, 2.0, 3.0], grad=False)
+        with T.Tape() as tape:
+            first = T.mul(x, 2.0)   # recorded first, replayed last
+            both = T.add(x, y)
+            tape.backward(T.tensor_sum(T.mul(T.add(both, first), w)))
+        assert np.array_equal(y.grad, w.data)
+        assert np.array_equal(x.grad, 3.0 * w.data)
+
     def test_repeated_backward_is_bitwise_identical(self):
         rng = np.random.default_rng(4)
         x = t(rng.normal(size=(4, 4)))
@@ -295,6 +307,197 @@ class TestPairOps:
         assert {x.dtype, s.dtype, full.dtype, a.grad.dtype} == {
             np.dtype(np.float32)}
         assert all(w.grad.dtype == np.float32 for w in weights)
+
+
+def compare_with_chain(fused, chain, inputs, weights=None):
+    """Values and input gradients of ``fused()`` against ``chain()``
+    under the loss sum(out * weights), or out itself when scalar; both
+    must agree to 1e-12 relative to the reference's scale."""
+    results = []
+    for fn in (fused, chain):
+        for x in inputs:
+            x.grad = None
+        with T.Tape() as tape:
+            out = fn()
+            loss = out if weights is None else T.tensor_sum(T.mul(out, weights))
+            tape.backward(loss)
+        results.append((out.data, [x.grad for x in inputs]))
+    (got, got_grads), (want, want_grads) = results
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    for a, b in zip(got_grads, want_grads):
+        assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+
+
+EPS = 1e-12
+
+
+def chain_stack(parts, complement):
+    return T.concat([T.reshape(T.sub(1.0, p) if k in complement else p,
+                               p.shape + (1,))
+                     for k, p in enumerate(parts)], axis=-1)
+
+
+def chain_normalize(e):
+    sums = T.tensor_sum(e, axis=2, keepdims=True)
+    dead = sums.data < EPS
+    keep = T.Tensor((~dead).astype(e.dtype))
+    return T.div(T.mul(e, keep), T.add(sums, T.Tensor(dead.astype(e.dtype))))
+
+
+def chain_rescale(a, e):
+    row_mass = T.tensor_sum(e, axis=1, keepdims=True)
+    scaled = T.mul(a, e)
+    mean = T.div(T.tensor_sum(scaled, axis=1, keepdims=True), row_mass)
+    return T.div(scaled, mean)
+
+
+def chain_pool(w, sources, tail):
+    parts = [T.matmul(T.take_last(w, c), src) for c, src in enumerate(sources)]
+    return T.concat(parts + [tail], axis=1)
+
+
+def chain_standardize(x, gain, shift):
+    mean = T.tensor_mean(x, axis=0, keepdims=True)
+    centered = T.sub(x, mean)
+    var = T.tensor_mean(T.mul(centered, centered), axis=0, keepdims=True)
+    unit = T.div(centered, T.sqrt(T.add(var, 1e-5)))
+    return T.add(T.mul(unit, gain), shift)
+
+
+def chain_readout_ce(edges, queries, channel, indicator, truth, complement):
+    picker = np.zeros((queries.size, edges.shape[0]), dtype=edges.dtype)
+    picker[np.arange(queries.size), queries] = 1.0
+    plane = T.take_last(edges, channel)
+    if complement:
+        plane = T.sub(1.0, plane)
+    logits = T.matmul(T.matmul(T.Tensor(picker), plane), T.Tensor(indicator))
+    rows = T.softmax(logits, axis=-1)
+    onehot = np.zeros(rows.shape, dtype=rows.dtype)
+    onehot[np.arange(truth.size), truth] = 1.0
+    picked = T.tensor_sum(T.mul(rows, T.Tensor(onehot)), axis=1)
+    return T.mul(T.tensor_mean(T.log(picked)), -1.0)
+
+
+def readout_task(m, n_way):
+    """Queries, visible-support indicator and truth for m vertices: the
+    first 2 * n_way are supports (one of them hidden), the rest queries."""
+    slots = np.arange(m) % n_way
+    queries = np.arange(2 * n_way, m)
+    indicator = np.zeros((m, n_way))
+    visible = np.arange(1, 2 * n_way)
+    indicator[visible, slots[visible]] = 1.0
+    return queries, indicator, slots[queries]
+
+
+M = 6
+
+
+def fused_cases(rng, c, dtype=np.float64, dead=True):
+    """(name, fused op, per-op chain, inputs, loss weights) for C = c
+    channels. With ``dead`` the edge-like inputs carry one all-zero
+    pair."""
+    def tensor(shape, low=None, high=None):
+        data = (rng.normal(size=shape) if low is None
+                else rng.uniform(low, high, size=shape))
+        return T.Tensor(data.astype(dtype), requires_grad=True)
+
+    def weights(shape):
+        return T.Tensor(rng.normal(size=shape).astype(dtype))
+
+    def edges():
+        e = tensor((M, M, c), 0.1, 1.0)
+        if dead:
+            e.data[1, 3] = 0.0
+        return e
+
+    x, y = tensor((M, M), 0.1, 0.9), tensor((M, M), 0.1, 0.9)
+    parts, complement = [x, y, y][:c], (c - 1,)
+    norm_e = edges()
+    aff, resc_e = tensor((M, M, c), 0.1, 0.9), edges()
+    pool_w = edges()
+    u, v, tail = tensor((M, 3)), tensor((M, 2)), tensor((M, 4))
+    sources = [v, u, u][:c]
+    ce_edges = edges()
+    queries, indicator, truth = readout_task(M, 2)
+    ce_args = dict(queries=queries, channel=c - 1,
+                   indicator=indicator.astype(dtype), truth=truth,
+                   complement=c == 3)
+    return [
+        ("stack_last", lambda: T.stack_last(parts, complement),
+         lambda: chain_stack(parts, complement), list(dict.fromkeys(parts)),
+         weights((M, M, c))),
+        ("normalize_last", lambda: T.normalize_last(norm_e, EPS),
+         lambda: chain_normalize(norm_e), [norm_e], weights((M, M, c))),
+        ("edge_rescale",
+         lambda: T.edge_rescale(aff, resc_e, ("x",) * c, EPS),
+         lambda: chain_rescale(aff, resc_e), [aff, resc_e],
+         weights((M, M, c))),
+        ("pool_channels", lambda: T.pool_channels(pool_w, sources, tail),
+         lambda: chain_pool(pool_w, sources, tail),
+         [pool_w, *dict.fromkeys(sources), tail],
+         weights((M, sum(s.shape[1] for s in sources) + 4))),
+        ("readout_ce", lambda: T.readout_ce(ce_edges, **ce_args),
+         lambda: chain_readout_ce(ce_edges, **ce_args), [ce_edges], None),
+    ]
+
+
+def standardize_case(rng, dtype=np.float64):
+    x = rng.normal(size=(7, 4))
+    x[:, 2] = 0.3    # a constant column: zero variance
+    x, gain, shift = (T.Tensor(a.astype(dtype), requires_grad=True)
+                      for a in (x, rng.normal(size=4), rng.normal(size=4)))
+    return (lambda: T.standardize(x, gain, shift, 1e-5),
+            lambda: chain_standardize(x, gain, shift), [x, gain, shift],
+            T.Tensor(rng.normal(size=(7, 4)).astype(dtype)))
+
+
+FUSED = ["stack_last", "normalize_last", "edge_rescale", "pool_channels",
+         "readout_ce"]
+
+
+class TestFusedLayerOps:
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    @pytest.mark.parametrize("name", FUSED)
+    def test_matches_per_op_chain(self, name, c):
+        case = {n: rest for n, *rest in fused_cases(
+            np.random.default_rng(20 + c), c)}[name]
+        compare_with_chain(*case)
+
+    def test_standardize_matches_per_op_chain(self):
+        compare_with_chain(*standardize_case(np.random.default_rng(21)))
+
+    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("name", FUSED)
+    def test_grad_check(self, name, c):
+        # no dead pair: a step off an all-zero pair revives it
+        case = {n: rest for n, *rest in fused_cases(
+            np.random.default_rng(30 + c), c, dead=False)}[name]
+        fused, _, inputs, weights = case
+        loss = (fused if weights is None
+                else lambda: T.tensor_sum(T.mul(fused(), weights)))
+        err = T.grad_check_groups(loss, dict(enumerate(inputs)))
+        assert max(err.values()) < 1e-6, err
+
+    def test_standardize_grad_check(self):
+        fused, _, inputs, weights = standardize_case(
+            np.random.default_rng(31))
+        err = T.grad_check_groups(
+            lambda: T.tensor_sum(T.mul(fused(), weights)),
+            dict(enumerate(inputs)))
+        assert max(err.values()) < 1e-6, err
+
+    def test_float32_in_float32_out(self):
+        rng = np.random.default_rng(32)
+        cases = [rest for _, *rest in fused_cases(rng, 3, np.float32)]
+        cases.append(standardize_case(rng, np.float32))
+        for fused, _, inputs, _ in cases:
+            for x in inputs:
+                x.grad = None
+            with T.Tape() as tape:
+                out = fused()
+                tape.backward(T.tensor_sum(out))
+            assert out.dtype == np.float32
+            assert all(x.grad.dtype == np.float32 for x in inputs)
 
 
 PRIMITIVES = [
