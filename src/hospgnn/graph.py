@@ -122,9 +122,25 @@ def label_agreement_masks(episode):
     return both & same, both & ~same
 
 
+def complemented(channels):
+    """Indices of the channels stacked as ``1 - pair`` (the dissimilar)."""
+    return tuple(k for k, ch in enumerate(channels) if ch == "dissimilar")
+
+
+def stack_channels(channels, relative, pair):
+    """The (M, M, C) stack of the enabled channels, as one node: the
+    relative channel reads ``relative``, the similar one ``pair``, the
+    dissimilar one ``1 - pair``. It builds the initial edges and every
+    layer's affinities; the readout reads the same ``complemented``."""
+    if "relative" in channels and relative is None:
+        raise ShapeError("relative channel enabled but not provided")
+    parts = [relative if ch == "relative" else pair for ch in channels]
+    return T.stack_last(parts, complement=complemented(channels))
+
+
 def init_edges(episode, channels, rel_channel=None, dtype=np.float64,
                labels=True):
-    """Stack the enabled channels of the initial edge tensor.
+    """Stack the enabled channels of the initial edge tensor, unnormalised.
 
     Label channels: agreeing visible-support pairs get (similar 1,
     dissimilar 0), disagreeing ones (0, 1), and every pair touching a
@@ -134,27 +150,12 @@ def init_edges(episode, channels, rel_channel=None, dtype=np.float64,
 
     ``labels=False`` gives the label-blind form: (0.5, 0.5) on every
     pair, the relative channel unchanged. The first vertex update
-    aggregates over it (see ``model.forward``); the first edge update
-    and the readout use the labelled form.
+    aggregates over it, pair-normalised (see ``model.forward``); the
+    first edge update and the readout use the labelled form.
     """
+    similar = np.full((episode.m, episode.m), 0.5, dtype=dtype)
     if labels:
         agree, disagree = label_agreement_masks(episode)
-    else:
-        agree = disagree = np.zeros((episode.m, episode.m), dtype=bool)
-    parts = []
-    for ch in channels:
-        if ch == "relative":
-            if rel_channel is None:
-                raise ShapeError("relative channel enabled but not provided")
-            parts.append(rel_channel)
-        elif ch == "similar":
-            vals = np.full(agree.shape, 0.5, dtype=dtype)
-            vals[agree] = 1.0
-            vals[disagree] = 0.0
-            parts.append(T.Tensor(vals))
-        else:
-            vals = np.full(agree.shape, 0.5, dtype=dtype)
-            vals[agree] = 0.0
-            vals[disagree] = 1.0
-            parts.append(T.Tensor(vals))
-    return T.stack_last(parts)
+        similar[agree] = 1.0
+        similar[disagree] = 0.0
+    return stack_channels(channels, rel_channel, T.Tensor(similar))

@@ -15,13 +15,13 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DataError
-from .graph import channel_index, readout_for
+from .graph import channel_index, complemented, readout_for
 
 
 def _readout(graph, episode, channel):
-    """The keyword arguments of ``T.readout_logits`` and ``T.readout_ce``
+    """The keyword arguments of ``T.readout_probs`` and ``T.readout_ce``
     for one episode: the query rows of the edge tensor, the channel read
-    (the dissimilar one as its complement), and the constant
+    (as its complement if ``graph.complemented``), and the constant
     visible-support-by-class indicator."""
     if channel is None:
         channel = readout_for(graph.channels)
@@ -35,7 +35,8 @@ def _readout(graph, episode, channel):
         missing = np.flatnonzero(per_class < 1).tolist()
         raise DataError(f"no visible support for class slot(s) {missing}")
     return dict(queries=np.flatnonzero(episode.is_query), channel=idx,
-                indicator=indicator, complement=channel == "dissimilar")
+                indicator=indicator,
+                complement=idx in complemented(graph.channels))
 
 
 def predict_labels(graph, episode, channel=None, layer=None):
@@ -55,9 +56,8 @@ def predict_labels(graph, episode, channel=None, layer=None):
         layer = graph.num_layers
     if not (1 <= layer <= graph.num_layers):
         raise ConfigError(f"layer must be in 1..{graph.num_layers}, got {layer}")
-    logits = T.readout_logits(graph.edges[layer].data,
-                              **_readout(graph, episode, channel))
-    return T.softmax(T.Tensor(logits), axis=-1)
+    return T.Tensor(T.readout_probs(graph.edges[layer].data,
+                                    **_readout(graph, episode, channel)))
 
 
 def hard_labels(pred_rows):

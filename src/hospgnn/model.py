@@ -29,6 +29,7 @@ from .graph import (
     init_relative_channel,
     readout_for,
     relative_features,
+    stack_channels,
 )
 
 STANDARDIZE_EPS = 1e-5
@@ -65,6 +66,10 @@ class ModelConfig:
     channel, when enabled, tells vertices apart; the self term keeps
     each vertex's identity through the update. Off by default; the
     large-episode training configurations enable it.
+
+    ``standardize_vertex`` standardises each vertex-net output column
+    over the episode, then applies a learned gain and shift; the shift
+    is the net's bias, as a separate one would cancel.
     """
 
     feature_dim: int
@@ -182,20 +187,23 @@ def _xavier(rng, fan_in, fan_out, dtype):
 
 
 def init_params(config, seed=0):
-    """Fresh parameters: uniform Xavier weights, zero biases, unit
-    standardization gain. Creation order is fixed so a seed pins every
-    value."""
+    """Fresh parameters: uniform Xavier weights, zero biases (none for a
+    standardised vertex net), unit standardization gain. Creation order
+    is fixed so a seed pins every value."""
     rng = make_rng(seed, STREAM_INIT)
     dtype = config.np_dtype
     tensors = {}
 
-    def linear(prefix, fan_in, fan_out):
+    def fill(name, value, size):
+        tensors[name] = T.Tensor(np.full(size, value, dtype=dtype),
+                                 requires_grad=True)
+
+    def linear(prefix, fan_in, fan_out, bias=True):
         tensors[f"{prefix}.w"] = T.Tensor(
             _xavier(rng, fan_in, fan_out, dtype), requires_grad=True
         )
-        tensors[f"{prefix}.b"] = T.Tensor(
-            np.zeros(fan_out, dtype=dtype), requires_grad=True
-        )
+        if bias:
+            fill(f"{prefix}.b", 0.0, fan_out)
 
     if config.use_encoder:
         linear("encoder", config.feature_dim, config.encoder_dim)
@@ -203,14 +211,11 @@ def init_params(config, seed=0):
     n_ch = len(config.channels) + (1 if config.aggregate_self else 0)
     for l in range(config.layers):
         d_in = config.layer_in_dim(l)
-        linear(f"layer{l}.vertex", n_ch * d_in, config.hidden_dim)
+        linear(f"layer{l}.vertex", n_ch * d_in, config.hidden_dim,
+               bias=not config.standardize_vertex)
         if config.standardize_vertex:
-            tensors[f"layer{l}.vertex.gain"] = T.Tensor(
-                np.ones(config.hidden_dim, dtype=dtype), requires_grad=True
-            )
-            tensors[f"layer{l}.vertex.shift"] = T.Tensor(
-                np.zeros(config.hidden_dim, dtype=dtype), requires_grad=True
-            )
+            fill(f"layer{l}.vertex.gain", 1.0, config.hidden_dim)
+            fill(f"layer{l}.vertex.shift", 0.0, config.hidden_dim)
         m_in = config.metric_in_dim(l)
         if config.needs_relative_net:
             linear(f"layer{l}.relnet.0", m_in, config.metric_hidden)
@@ -275,46 +280,32 @@ def channel_normalize(edges):
     return T.normalize_last(edges, DENOM_EPS)
 
 
-def channel_affinities(channels, rel_scores, pair_scores):
-    """The (M, M, C) affinity each enabled channel is rescaled by.
-
-    The relative channel takes the relative-net scores, the similar
-    channel the pair-net scores, and the dissimilar channel their
-    complement. This is the one place that maps a channel to its
-    affinity; the edge update builds the stack once per layer, and the
-    structure loss reads it from the ``EpisodeGraph``.
-    """
-    parts = [rel_scores if ch == "relative" else pair_scores
-             for ch in channels]
-    complement = tuple(k for k, ch in enumerate(channels)
-                       if ch == "dissimilar")
-    return T.stack_last(parts, complement=complement)
-
-
 def vertex_update(u_prev, v_prev, e_prev, params, layer):
     """Re-embed every vertex from its channel-weighted aggregates.
 
     The relative channel aggregates difference features, the label
     channels aggregate the vertex features themselves. Aggregates are
     concatenated in channel order (``T.pool_channels``), followed by the
-    self term when enabled, and mapped through the vertex net. The
-    (M, M, C) weights are the pair-normalized edge values, computed once
-    for all channels.
+    self term when enabled, and mapped through the vertex net (under
+    ``standardize_vertex``, bias-free and then standardised).
 
-    ``e_prev`` is the edge tensor to pool over: ``forward`` passes the
+    The (M, M, C) ``e_prev`` values are the pooling weights as they
+    are; callers pass pair-normalised edges. ``forward`` passes the
     label-blind initial edges to layer 0, so visible labels cannot
-    become a feature offset only labelled supports carry (see
-    ``forward``), and the previous layer's edges afterwards.
+    become a feature offset only labelled supports carry, and the
+    previous layer's edges afterwards.
     """
     cfg = params.config
     sources = [v_prev if ch == "relative" else u_prev for ch in cfg.channels]
-    x = T.pool_channels(channel_normalize(e_prev), sources,
+    x = T.pool_channels(e_prev, sources,
                         tail=u_prev if cfg.aggregate_self else None)
-    out = _linear(params, f"layer{layer}.vertex", x)
+    prefix = f"layer{layer}.vertex"
     if cfg.standardize_vertex:
-        out = T.standardize(out, params.t(f"layer{layer}.vertex.gain"),
-                            params.t(f"layer{layer}.vertex.shift"),
-                            STANDARDIZE_EPS)
+        out = T.standardize(T.matmul(x, params.t(f"{prefix}.w")),
+                            params.t(f"{prefix}.gain"),
+                            params.t(f"{prefix}.shift"), STANDARDIZE_EPS)
+    else:
+        out = _linear(params, prefix, x)
     u_next = T.leaky_relu(out, cfg.leaky_slope)
     return u_next, relative_features(u_next)
 
@@ -324,7 +315,7 @@ def edge_update(u_l, v_l, e_prev, params, layer, rel_scores=None,
     """Evolve every enabled channel, then re-normalize pairs.
 
     One pass over the (M, M, C) tensor (``T.edge_rescale``): old values
-    are scaled by the fresh channel affinities (``channel_affinities``),
+    are scaled by the fresh channel affinities (``stack_channels``),
     then divided by their row's affinity-weighted mean, so a
     uniformly-scored row is left unchanged. A row with no mass, or with
     vanishing affinity mass, in some channel is a numeric error naming
@@ -341,7 +332,7 @@ def edge_update(u_l, v_l, e_prev, params, layer, rel_scores=None,
         rel_scores = metric_scores(params, f"layer{layer}.relnet", v_l)
     if pair_scores is None and cfg.needs_pair_net:
         pair_scores = metric_scores(params, f"layer{layer}.pairnet", u_l)
-    affinity = channel_affinities(cfg.channels, rel_scores, pair_scores)
+    affinity = stack_channels(cfg.channels, rel_scores, pair_scores)
     if stacks is not None:
         stacks.append(affinity)
     rescaled = T.edge_rescale(affinity, e_prev, cfg.channels, DENOM_EPS)
@@ -380,9 +371,10 @@ def forward(episode, params):
     """Run the whole model on one episode, retaining every level.
 
     The first vertex update aggregates over the label-blind initial
-    edges (label channels 0.5 on every pair, relative channel as is);
-    every later vertex update, every edge update and the readout use
-    the labelled edges. Pooled over the labelled initial edges, a
+    edges (label channels 0.5 on every pair, relative channel as is),
+    pair-normalised here; every later vertex update, every edge update
+    and the readout use the labelled edges, which each edge update
+    returns pair-normalised. Pooled over the labelled initial edges, a
     visible support would average its own class into its similar
     aggregate and the other classes into its dissimilar one, while a
     query pools the whole episode into both. The difference is a
@@ -397,8 +389,9 @@ def forward(episode, params):
     v0 = relative_features(u0)
     rel0 = init_relative_channel(v0) if "relative" in cfg.channels else None
     e0 = init_edges(episode, cfg.channels, rel_channel=rel0, dtype=cfg.np_dtype)
-    blind0 = init_edges(episode, cfg.channels, rel_channel=rel0,
-                        dtype=cfg.np_dtype, labels=False)
+    blind0 = channel_normalize(init_edges(
+        episode, cfg.channels, rel_channel=rel0, dtype=cfg.np_dtype,
+        labels=False))
     us, vs, es = [u0], [v0], [e0]
     rel_affs, pair_affs, stacks = [], [], []
     for layer in range(cfg.layers):

@@ -872,20 +872,25 @@ def standardize(a, gain, shift, eps):
     return _emit(data, inputs, vjp)
 
 
-def readout_logits(edges, queries, channel, indicator, complement=False):
-    """Class scores read from one channel of an (M, M, C) edge array, as
-    a plain (Q, n) array: row q sums the edge values from vertex
+def readout_probs(edges, queries, channel, indicator, complement=False):
+    """Class probabilities read from one channel of an (M, M, C) edge
+    array, as a plain (Q, n) array: the softmax (bitwise ``softmax``'s)
+    of row q's class scores, which sum the edge values from vertex
     ``queries[q]`` to the vertices the (M, n) ``indicator`` assigns to
     each class. ``complement`` reads each value as one minus it.
     ``readout_ce`` differentiates this same rule."""
     plane = np.ascontiguousarray(edges[queries, :, channel])
     if complement:
         plane = 1.0 - plane
-    return plane @ indicator
+    logits = plane @ indicator
+    if np.any(np.isnan(logits)):
+        raise NumericError("readout of NaN edge values")
+    exps = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+    return exps / np.sum(exps, axis=-1, keepdims=True)
 
 
 def readout_ce(edges, queries, channel, indicator, truth, complement=False):
-    """Softmax cross-entropy of the ``readout_logits`` scores against the
+    """Softmax cross-entropy of the ``readout_probs`` rows against the
     (Q,) class indices ``truth``, meaned over queries, as one node.
 
     Backward: the logits receive g (p - onehot(truth)) / Q, p the
@@ -893,12 +898,7 @@ def readout_ce(edges, queries, channel, indicator, truth, complement=False):
     indicator.
     """
     edges = _as_tensor(edges)
-    logits = readout_logits(edges.data, queries, channel, indicator,
-                            complement)
-    if np.any(np.isnan(logits)):
-        raise NumericError("readout of NaN edge values")
-    exps = np.exp(logits - logits.max(axis=1, keepdims=True))
-    probs = exps / exps.sum(axis=1, keepdims=True)
+    probs = readout_probs(edges.data, queries, channel, indicator, complement)
     rows = np.arange(len(queries))
     picked = probs[rows, truth]
     if np.any(picked <= 0):

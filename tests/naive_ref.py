@@ -23,12 +23,13 @@ def sigmoid(x):
     return e / (1.0 + e)
 
 
-def linear(rows, w, b):
+def linear(rows, w, b=None):
+    # b=None: a net without a bias
     out = []
     for row in rows:
         acc = []
-        for o in range(len(b)):
-            s = b[o]
+        for o in range(len(w[0])):
+            s = 0.0 if b is None else b[o]
             for f in range(len(row)):
                 s += row[f] * w[f][o]
             acc.append(s)
@@ -130,8 +131,9 @@ class NaiveModel:
             if self.cfg.get("aggregate_self"):
                 feats.extend(u[i])
             rows.append(feats)
+        # under standardize_vertex the vertex net has no bias
         pre = linear(rows, self.w[f"layer{layer}.vertex.w"],
-                     self.w[f"layer{layer}.vertex.b"])
+                     self.w.get(f"layer{layer}.vertex.b"))
         if self.cfg["standardize_vertex"]:
             d = len(pre[0])
             gain = self.w[f"layer{layer}.vertex.gain"]

@@ -15,6 +15,7 @@ from hospgnn.graph import (
     pairwise_distances,
     parse_variant,
     relative_features,
+    stack_channels,
 )
 
 
@@ -299,6 +300,26 @@ class TestEdgeInit:
     def test_dtype_control(self, labelled_episode):
         e32 = init_edges(labelled_episode, ("similar",), dtype=np.float32)
         assert e32.dtype == np.float32
+
+    def test_label_blind_form_is_half_on_every_pair(self, labelled_episode):
+        e = init_edges(labelled_episode, ("similar", "dissimilar"),
+                       labels=False).data
+        assert np.all(e == 0.5)
+
+
+@pytest.mark.parametrize(
+    "channels",
+    [FULL_CHANNELS, ("relative", "dissimilar"), ("similar",),
+     ("dissimilar",), ("relative",)],
+    ids=lambda c: "".join(ch[0] for ch in c))
+def test_stack_channels_maps_each_channel_to_its_source(channels):
+    rng = np.random.default_rng(3)
+    rel, pair = (T.Tensor(rng.uniform(size=(4, 4))) for _ in range(2))
+    stack = stack_channels(channels, rel, pair).data
+    want = {"relative": rel.data, "similar": pair.data,
+            "dissimilar": 1.0 - pair.data}
+    for k, ch in enumerate(channels):
+        assert np.array_equal(stack[..., k], want[ch])
 
 
 assert CHANNEL_ORDER == ("relative", "similar", "dissimilar")

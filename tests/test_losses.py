@@ -58,6 +58,15 @@ class TestReadout:
         assert np.allclose(rows[0], [0.690, 0.310], atol=1e-3)
         assert np.allclose(rows[1], [0.354, 0.646], atol=1e-3)
 
+    def test_probabilities_are_the_softmax_chain_bitwise(self):
+        # predict_labels and T.readout_ce share one softmax, with the ops
+        # of the taped T.softmax chain
+        e = similar_layer([0.9, 0.1], [0.2, 0.8])
+        rows = predict_labels(graph_from_edges([np.zeros((4, 4, 1)), e]),
+                              tiny_task()).data
+        logits = T.Tensor(np.array([[0.9, 0.1], [0.2, 0.8]]))
+        assert np.array_equal(rows, T.softmax(logits, axis=-1).data)
+
     def test_equal_edges_give_even_split(self):
         g = graph_from_edges([np.zeros((4, 4, 1)),
                               similar_layer([0.5, 0.5], [0.3, 0.3])])

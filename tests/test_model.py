@@ -127,6 +127,20 @@ class TestInitParams:
         assert "layer2.vertex.w" not in names
         assert "layer0.vertex.gain" not in names
 
+    def test_standardized_vertex_net_has_no_bias(self):
+        # standardisation cancels a vertex bias, and its shift takes the
+        # bias's place; every other array is drawn as before
+        plain = ModelConfig(feature_dim=6, layers=3, hidden_dim=8,
+                            encoder_dim=8, metric_hidden=16)
+        std = replace(plain, standardize_vertex=True)
+        a, b = init_params(plain, seed=4), init_params(std, seed=4)
+        biases = {f"layer{l}.vertex.b" for l in range(3)}
+        assert biases <= set(a.names())
+        assert not biases & set(b.names())
+        assert set(a.names()) - biases <= set(b.names())
+        for name in set(a.names()) - biases:
+            assert np.array_equal(a.t(name).data, b.t(name).data), name
+
     def test_variant_prunes_metric_nets(self):
         only_labels = init_params(
             ModelConfig(feature_dim=4, channels=("similar", "dissimilar")))
@@ -202,6 +216,22 @@ class TestVertexUpdate:
         assert np.allclose(
             v_next.data, u_next.data - np.roll(u_next.data, -1, axis=0),
             atol=1e-12)
+
+    def test_edges_are_pooled_as_given(self):
+        # the caller normalises: doubled weights give doubled aggregates
+        cfg = ModelConfig(feature_dim=3, layers=1, hidden_dim=3,
+                          use_encoder=False, leaky_slope=1.0)
+        params = init_params(cfg, seed=0)
+        w = np.zeros((9, 3))
+        w[3:6] = np.eye(3)
+        params.t("layer0.vertex.w").data[...] = w
+        rng = np.random.default_rng(5)
+        u = T.Tensor(rng.normal(size=(4, 3)))
+        v = T.Tensor(rng.normal(size=(4, 3)))
+        picks = [2, 0, 3, 1]
+        e = one_hot_edges(picks, channel=1, n_channels=3, m=4)
+        u_next, _ = vertex_update(u, v, T.Tensor(2.0 * e.data), params, 0)
+        assert np.allclose(u_next.data, 2.0 * u.data[picks], atol=1e-12)
 
     def test_relative_channel_aggregates_difference_features(self):
         cfg = ModelConfig(feature_dim=3, layers=1, hidden_dim=3,
@@ -365,7 +395,7 @@ class TestMetricNets:
                                    manifold_loss(graph), 1e-5)
                 tape.backward(T.mul(total, 0.25))
             counts.append(len(tape))
-        assert counts[0] == counts[1] <= 80, counts
+        assert counts[0] == counts[1] <= 60, counts
 
 
 class TestEdgeUpdate:
@@ -501,6 +531,38 @@ class TestForward:
                               graphs[1].vertex_feats[1].data)
         gap = np.abs(graphs[0].edges[1].data - graphs[1].edges[1].data)
         assert np.max(gap) > 1e-3
+
+    @pytest.mark.parametrize(
+        "channels", [("similar",), ("similar", "dissimilar"), FULL_CHANNELS],
+        ids=lambda c: "".join(ch[0] for ch in c))
+    def test_every_pooling_weighs_by_pair_normalized_edges(
+            self, monkeypatch, channels):
+        # forward normalises each level's pooling edges once, the
+        # label-blind layer 0 included: every pair's weights sum to one,
+        # or are all zero for a pair with no mass
+        pool = synth_clusters(4, 10, 6, sep=3.0, seed=61)
+        ep = sample_episode(pool, 2, 3, 2, label_fraction=0.5,
+                            rng=make_rng(61, 2))
+        cfg = ModelConfig(feature_dim=6, layers=3, hidden_dim=8,
+                          encoder_dim=8, metric_hidden=16, channels=channels)
+        seen = []
+        real = T.pool_channels
+
+        def spy(weights, sources, tail=None):
+            seen.append(weights.data.copy())
+            return real(weights, sources, tail=tail)
+
+        monkeypatch.setattr(T, "pool_channels", spy)
+        forward(ep, init_params(cfg, seed=7))
+        assert len(seen) == cfg.layers
+        dead = 0
+        for w in seen:
+            assert w.shape == (ep.m, ep.m, len(channels))
+            zero = np.all(w == 0.0, axis=2)
+            assert np.all(np.abs(w.sum(axis=2)[~zero] - 1.0) <= 1e-12)
+            dead += int(zero.sum())
+        # a lone label channel has dead pairs (disagreeing supports)
+        assert (dead > 0) == (len(channels) == 1)
 
     def test_float32_config_runs_in_float32(self, tiny_episode):
         cfg = ModelConfig(feature_dim=8, layers=1, hidden_dim=8,

@@ -21,6 +21,7 @@ from hospgnn.train import (
     train,
 )
 
+from naive_ref import NaiveModel
 from test_acceptance import C5_MODEL, C5_TRAIN
 
 
@@ -320,6 +321,33 @@ class TestCheckpoint:
         before = predict_labels(forward(probe, best.restore()), probe).data
         after = predict_labels(forward(probe, loaded.restore()), probe).data
         assert np.array_equal(before, after)
+
+    def test_arrays_with_old_vertex_biases_restore(self, tmp_path,
+                                                   train_pool):
+        # checkpoints written while standardised vertex nets still had a
+        # bias carry layer{l}.vertex.b; standardisation cancels it, so
+        # the restored model predicts what the biased model did
+        cfg = small_cfg(model_kw=dict(standardize_vertex=True))
+        rng = make_rng(5, 0)
+        arrays = init_params(cfg.model, seed=0).copy_arrays()
+        for name in arrays:
+            arrays[name] = arrays[name] + 0.1 * rng.standard_normal(
+                arrays[name].shape)
+        for l in range(cfg.model.layers):
+            arrays[f"layer{l}.vertex.b"] = rng.standard_normal(
+                cfg.model.hidden_dim)
+        path = tmp_path / "ck.npz"
+        save_checkpoint(Checkpoint(arrays=arrays, iteration=1,
+                                   val_accuracy=0.5, config=cfg), path)
+        params = load_checkpoint(path).restore()
+        assert not any(n.endswith("vertex.b") for n in params.names())
+        probe = sample_episode(train_pool, 2, 1, 2, rng=make_rng(99, 0))
+        got = predict_labels(forward(probe, params), probe).data
+        ref = NaiveModel(probe, arrays, cfg.model.to_dict())
+        es = ref.forward()[2]
+        want = ref.predict(es, cfg.model.layers,
+                           cfg.model.resolved_readout())
+        assert np.max(np.abs(got - np.array(want))) <= 1e-12
 
     def test_tampered_config_rejected(self, tmp_path):
         cfg = small_cfg()
