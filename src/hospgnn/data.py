@@ -85,6 +85,10 @@ class Episode:
     ``class_slots`` holds within-episode labels 0..N-1; ``class_ids``
     maps each slot back to the dataset class. ``label_mask`` is true only
     for support vertices whose label is visible; every query is false.
+
+    A stack of same-shape episodes (``stack_episodes``) is an Episode
+    too, whose arrays carry a leading episode axis; ``m`` and
+    ``is_query`` hold for each of them.
     """
 
     n_way: int
@@ -109,6 +113,25 @@ class Episode:
         mask = np.zeros(self.m, dtype=bool)
         mask[self.support_count:] = True
         return mask
+
+
+def stack_episodes(episodes):
+    """Same-shape episodes as one Episode, each array stacked along a new
+    leading axis in list order; the model runs it as one pass."""
+    if not episodes:
+        raise DataError("no episodes to stack")
+    shapes = {(ep.n_way, ep.k_shot, ep.n_query) for ep in episodes}
+    if len(shapes) > 1:
+        raise DataError(f"cannot stack episodes of shapes {sorted(shapes)}")
+    first = episodes[0]
+    return Episode(
+        n_way=first.n_way,
+        k_shot=first.k_shot,
+        n_query=first.n_query,
+        **{name: np.stack([getattr(ep, name) for ep in episodes])
+           for name in ("features", "class_slots", "label_mask",
+                        "class_ids", "item_indices")},
+    )
 
 
 def visible_per_class(label_fraction, k_shot):

@@ -9,7 +9,8 @@ Edge tensors carry up to three channels, in this fixed order:
 
 Ablation variants drop channels; every function here takes the enabled
 channel tuple and produces tensors with exactly that many channels, in
-the order above.
+the order above. A stacked episode (``data.stack_episodes``) gives every
+array a leading episode axis, which each function here carries along.
 """
 
 from __future__ import annotations
@@ -68,29 +69,31 @@ def channel_index(channels, name):
 
 def relative_features(feats):
     """Chained differences: row i becomes row i minus the next row,
-    wrapping the last row around to the first (``u - roll(u, -1)``).
+    wrapping the last row around to the first (``u - roll(u, -1)``), in
+    each (M, d) block of an (..., M, d) tensor.
 
     The episode's canonical vertex order fixes which difference each row
     is; rows telescope to zero when summed.
     """
     feats = T._as_tensor(feats)
-    if feats.ndim != 2:
-        raise ShapeError(f"expected (M, d) features, got {feats.shape}")
-    if feats.shape[0] < 2:
-        raise ShapeError(f"need at least 2 vertices, got {feats.shape[0]}")
+    if feats.ndim < 2:
+        raise ShapeError(f"expected (..., M, d) features, got {feats.shape}")
+    if feats.shape[-2] < 2:
+        raise ShapeError(f"need at least 2 vertices, got {feats.shape[-2]}")
 
     def vjp(g):
-        return (g - np.roll(g, 1, axis=0),)
+        return (g - np.roll(g, 1, axis=-2),)
 
-    return T._emit(feats.data - np.roll(feats.data, -1, axis=0), (feats,), vjp)
+    return T._emit(feats.data - np.roll(feats.data, -1, axis=-2), (feats,),
+                   vjp)
 
 
 def pairwise_distances(feats):
-    """Euclidean distance between every pair of rows, as an (M, M)
-    matrix: the ``T.pair_distances`` rows spread back symmetrically
+    """Euclidean distance between every pair of rows, as (..., M, M)
+    matrices: the ``T.pair_distances`` rows spread back symmetrically
     (bitwise), with an exactly zero diagonal."""
     feats = T._as_tensor(feats)
-    return T.symmetric_from_pairs(T.pair_distances(feats), feats.shape[0])
+    return T.symmetric_from_pairs(T.pair_distances(feats), feats.shape[-2])
 
 
 def init_relative_channel(rel_feats):
@@ -102,23 +105,27 @@ def init_relative_channel(rel_feats):
     scaling is per-row, so the matrix is not symmetric in general.
     """
     dist = pairwise_distances(rel_feats)
-    totals = T.tensor_sum(dist, axis=1, keepdims=True)
-    if np.any(totals.data < DENOM_EPS):
-        rows = np.flatnonzero(totals.data.reshape(-1) < DENOM_EPS)
+    totals = T.tensor_sum(dist, axis=-1, keepdims=True)
+    bad = totals.data < DENOM_EPS
+    if np.any(bad):
+        bad = bad.reshape(-1, dist.shape[-1])
+        episode = int(np.flatnonzero(bad.any(axis=1))[0])
+        rows = np.flatnonzero(bad[episode])
+        where = f"episode {episode}, " if dist.ndim > 2 else ""
         raise DegenerateEpisodeError(
             f"all difference features coincide (zero distance total at "
-            f"row{'s' if rows.size > 1 else ''} {rows.tolist()})"
+            f"{where}row{'s' if rows.size > 1 else ''} {rows.tolist()})"
         )
     return T.sub(1.0, T.div(dist, totals))
 
 
 def label_agreement_masks(episode):
-    """Boolean (M, M) masks: pairs of label-visible supports that agree,
-    and that disagree. Everything else (any query or hidden endpoint)
-    is in neither mask."""
-    visible = episode.label_mask
-    both = np.logical_and.outer(visible, visible)
-    same = np.equal.outer(episode.class_slots, episode.class_slots)
+    """Boolean (..., M, M) masks: pairs of label-visible supports that
+    agree, and that disagree. Everything else (any query or hidden
+    endpoint) is in neither mask."""
+    visible, slots = episode.label_mask, episode.class_slots
+    both = visible[..., :, None] & visible[..., None, :]
+    same = slots[..., :, None] == slots[..., None, :]
     return both & same, both & ~same
 
 
@@ -128,7 +135,7 @@ def complemented(channels):
 
 
 def stack_channels(channels, relative, pair):
-    """The (M, M, C) stack of the enabled channels, as one node: the
+    """The (..., M, M, C) stack of the enabled channels, as one node: the
     relative channel reads ``relative``, the similar one ``pair``, the
     dissimilar one ``1 - pair``. It builds the initial edges and every
     layer's affinities; the readout reads the same ``complemented``."""
@@ -153,7 +160,8 @@ def init_edges(episode, channels, rel_channel=None, dtype=np.float64,
     aggregates over it, pair-normalised (see ``model.forward``); the
     first edge update and the readout use the labelled form.
     """
-    similar = np.full((episode.m, episode.m), 0.5, dtype=dtype)
+    similar = np.full(episode.label_mask.shape + (episode.m,), 0.5,
+                      dtype=dtype)
     if labels:
         agree, disagree = label_agreement_masks(episode)
         similar[agree] = 1.0

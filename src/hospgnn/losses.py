@@ -4,7 +4,8 @@ The readout turns query-to-support edge values into class scores; the
 classification loss sums per-layer cross-entropies (each one a mean over
 queries); the structure loss asks each layer's affinities to honor the
 previous layer's edge values, averaged per pair so its scale does not
-grow with episode size.
+grow with episode size. For a stacked episode (``data.stack_episodes``)
+every loss and accuracy is one value per episode, along the leading axis.
 """
 
 from __future__ import annotations
@@ -20,19 +21,19 @@ from .graph import channel_index, complemented, readout_for
 
 def _readout(graph, episode, channel):
     """The keyword arguments of ``T.readout_probs`` and ``T.readout_ce``
-    for one episode: the query rows of the edge tensor, the channel read
+    for an episode: the query rows of the edge tensor, the channel read
     (as its complement if ``graph.complemented``), and the constant
-    visible-support-by-class indicator."""
+    visible-support-by-class indicator, (..., M, n)."""
     if channel is None:
         channel = readout_for(graph.channels)
     idx = channel_index(graph.channels, channel)
-    indicator = np.zeros((episode.m, episode.n_way),
+    visible = episode.label_mask
+    indicator = np.zeros(visible.shape + (episode.n_way,),
                          dtype=graph.edges[0].dtype)
-    for j in np.flatnonzero(episode.label_mask):
-        indicator[j, episode.class_slots[j]] = 1.0
-    per_class = indicator.sum(axis=0)
-    if np.any(per_class < 1):
-        missing = np.flatnonzero(per_class < 1).tolist()
+    indicator[visible, episode.class_slots[visible]] = 1.0
+    empty = (indicator.sum(axis=-2) < 1).reshape(-1, episode.n_way)
+    if np.any(empty):
+        missing = np.flatnonzero(empty.any(axis=0)).tolist()
         raise DataError(f"no visible support for class slot(s) {missing}")
     return dict(queries=np.flatnonzero(episode.is_query), channel=idx,
                 indicator=indicator,
@@ -63,17 +64,18 @@ def predict_labels(graph, episode, channel=None, layer=None):
 def hard_labels(pred_rows):
     """Argmax class slot per query row."""
     data = pred_rows.data if isinstance(pred_rows, T.Tensor) else np.asarray(pred_rows)
-    return np.argmax(data, axis=1)
+    return np.argmax(data, axis=-1)
 
 
 def query_slots(episode):
-    return episode.class_slots[episode.is_query]
+    return episode.class_slots[..., episode.is_query]
 
 
 def accuracy(graph, episode, channel=None, layer=None):
-    """Fraction of queries whose top class at the final level is right."""
+    """Fraction of queries whose top class at the final level is right,
+    per episode: a float, or an array over a stacked episode's axis."""
     rows = predict_labels(graph, episode, channel=channel, layer=layer)
-    return float(np.mean(hard_labels(rows) == query_slots(episode)))
+    return np.mean(hard_labels(rows) == query_slots(episode), axis=-1)
 
 
 def per_layer_ce(graph, episode, channel=None):
@@ -107,14 +109,14 @@ def per_layer_manifold(graph):
     pairs.
     """
     return [
-        T.tensor_mean(T.mul(stack, edges), axis=(0, 1))
+        T.tensor_mean(T.mul(stack, edges), axis=(-3, -2))
         for stack, edges in zip(graph.affinities, graph.edges)
     ]
 
 
 def manifold_loss(graph):
     """Total structure-preservation loss over layers and channels."""
-    return T.tensor_sum(_add_all(per_layer_manifold(graph)))
+    return T.tensor_sum(_add_all(per_layer_manifold(graph)), axis=-1)
 
 
 def total_loss(ce, structure, weight):
@@ -128,7 +130,7 @@ def total_loss(ce, structure, weight):
 
 @dataclass
 class LossReport:
-    """Scalar views of one episode's losses, for logging."""
+    """Scalar views of one (unstacked) episode's losses, for logging."""
 
     ce_per_layer: list
     structure_per_layer: list
@@ -147,7 +149,7 @@ def report_losses(graph, episode, weight, channel=None):
     ce_terms = per_layer_ce(graph, episode, channel=channel)
     ce = _add_all(ce_terms)
     ml_layers = per_layer_manifold(graph)
-    ml = T.tensor_sum(_add_all(ml_layers))
+    ml = T.tensor_sum(_add_all(ml_layers), axis=-1)
     total = total_loss(ce, ml, weight)
     report = LossReport(
         ce_per_layer=[float(t.data) for t in ce_terms],

@@ -243,7 +243,7 @@ def embed(episode, params):
 
 
 def metric_scores(params, prefix, feats):
-    """Affinity of every vertex pair under one metric net, as (M, M)
+    """Affinity of every vertex pair under one metric net, as (..., M, M)
     values at least SCORE_EPS away from 0 and 1.
 
     Both net inputs are symmetric in (i, j) and zero on the diagonal:
@@ -268,7 +268,7 @@ def metric_scores(params, prefix, feats):
     weights = [params.t(f"{prefix}.{k}.{w}") for k in range(3) for w in "wb"]
     scores = T.mlp_scores(x, *weights, slope=cfg.leaky_slope,
                           margin=SCORE_EPS)
-    return T.symmetric_from_pairs(scores, feats.shape[0])
+    return T.symmetric_from_pairs(scores, feats.shape[-2])
 
 
 def channel_normalize(edges):
@@ -346,8 +346,8 @@ class EpisodeGraph:
     Index 0 of ``vertex_feats``/``diff_feats``/``edges`` is the initial
     graph; index l is the state after layer l. The affinity lists have
     one entry per layer (entry l-1 belongs to layer l): the raw metric
-    scores, and the (M, M, C) affinity stacks the edge updates rescaled
-    by, which the structure-preservation loss reads.
+    scores, and the (..., M, M, C) affinity stacks the edge updates
+    rescaled by, which the structure-preservation loss reads.
     """
 
     channels: tuple
@@ -364,11 +364,13 @@ class EpisodeGraph:
 
     @property
     def m(self):
-        return self.edges[0].shape[0]
+        return self.edges[0].shape[-2]
 
 
 def forward(episode, params):
-    """Run the whole model on one episode, retaining every level.
+    """Run the whole model on one episode, retaining every level. A
+    stacked episode (``data.stack_episodes``) runs as one pass, every
+    tensor carrying its leading episode axis.
 
     The first vertex update aggregates over the label-blind initial
     edges (label channels 0.5 on every pair, relative channel as is),

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import math
 import threading
 import weakref
 
@@ -185,14 +186,16 @@ def _emit(data, inputs, vjp):
 def _sum_kept(x, axis):
     """``x.sum(axis, keepdims=True)`` over one axis.
 
-    Over the last two axes of a channel-last (M, M, C) array each output
-    sums a few strided values, where numpy's reduction loop costs about
-    13 times more per element than a product with a ones vector; that
-    case runs as the product.
+    Over the last two axes of a channel-last (..., M, M, C) array each
+    output sums a few strided values, where numpy's reduction loop costs
+    about 13 times more per element than a product with a ones vector;
+    those cases run as the product.
     """
-    if x.ndim == 3 and axis in (1, 2):
+    axis %= x.ndim
+    if x.ndim >= 3 and axis >= x.ndim - 2:
         ones = np.ones(x.shape[axis], dtype=x.dtype)
-        return np.expand_dims(x @ ones if axis == 2 else ones @ x, axis)
+        last = axis == x.ndim - 1
+        return np.expand_dims(x @ ones if last else ones @ x, axis)
     return x.sum(axis=axis, keepdims=True)
 
 
@@ -256,10 +259,12 @@ def div(a, b):
 
 
 def matmul(a, b):
+    """``a @ b`` for an (..., n, k) ``a`` and a (k, p) ``b``."""
     a, b = _coerce_pair(a, b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.ndim < 2 or b.ndim != 2:
+        raise ShapeError(f"matmul expects (..., n, k) by (k, p) operands, "
+                         f"got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[0]:
         raise ShapeError(
             f"matmul inner dimensions disagree: {a.shape} by {b.shape}"
         )
@@ -267,7 +272,8 @@ def matmul(a, b):
     ad, bd = a.data, b.data
 
     def vjp(g):
-        return g @ bd.T, ad.T @ g
+        rows = ad.reshape(-1, bd.shape[0])
+        return g @ bd.T, rows.T @ g.reshape(rows.shape[0], -1)
 
     return _emit(data, (a, b), vjp)
 
@@ -488,7 +494,8 @@ def leaky_relu(a, slope=0.01):
     return _emit(data, (a,), vjp)
 
 
-PairIndex = collections.namedtuple("PairIndex", "rows cols upper lower diag")
+PairIndex = collections.namedtuple("PairIndex",
+                                   "rows cols upper lower diag spread")
 
 
 @functools.lru_cache(maxsize=64)
@@ -497,48 +504,68 @@ def pair_index(m):
 
     ``rows``/``cols`` are the strict upper triangle (i < j) in row-major
     order, ``upper`` and ``lower`` the flat positions of (i, j) and
-    (j, i) in that pair order, ``diag`` the flat diagonal. Cached per
-    size; the arrays are read-only, so evaluation threads share them.
+    (j, i) in that pair order, ``diag`` the flat diagonal. ``spread``
+    maps each flat position to its pair, and the diagonal to P, one past
+    the last pair. Cached per size; the arrays are read-only, so
+    evaluation threads share them.
     """
     rows, cols = np.triu_indices(m, 1)
-    index = PairIndex(rows, cols, rows * m + cols, cols * m + rows,
-                      np.arange(m) * (m + 1))
+    upper, lower, diag = rows * m + cols, cols * m + rows, np.arange(m) * (m + 1)
+    spread = np.empty(m * m, dtype=rows.dtype)
+    spread[upper] = spread[lower] = np.arange(rows.size)
+    spread[diag] = rows.size
+    index = PairIndex(rows, cols, upper, lower, diag, spread)
     for arr in index:
         arr.flags.writeable = False
     return index
 
 
 def pair_absdiff(a):
-    """|a_i - a_j| for every unordered pair of rows of an (M, d) tensor,
-    as (P + 1, d) rows in ``pair_index`` order plus one zero row for the
-    diagonal (|a_i - a_i| = 0). The value is symmetric in (i, j)
-    bitwise, since a difference and its negation share one magnitude."""
+    """|a_i - a_j| for every unordered pair of rows of an (..., M, d)
+    tensor, as (..., P + 1, d) rows in ``pair_index`` order plus one zero
+    row for the diagonal (|a_i - a_i| = 0). The value is symmetric in
+    (i, j) bitwise, since a difference and its negation share one
+    magnitude."""
     a = _as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"pair_absdiff expects (M, d) rows, got {a.shape}")
-    m, d = a.shape
+    if a.ndim < 2:
+        raise ShapeError(f"pair_absdiff expects (..., M, d) rows, got {a.shape}")
+    lead, (m, d) = a.shape[:-2], a.shape[-2:]
     pairs = pair_index(m)
-    diff = np.take(a.data, pairs.rows, axis=0)
-    diff -= np.take(a.data, pairs.cols, axis=0)
-    data = np.zeros((pairs.upper.size + 1, d), dtype=a.dtype)
-    np.abs(diff, out=data[:-1])
+    diff = np.take(a.data, pairs.rows, axis=-2)
+    diff -= np.take(a.data, pairs.cols, axis=-2)
+    data = np.zeros(lead + (pairs.upper.size + 1, d), dtype=a.dtype)
+    np.abs(diff, out=data[..., :-1, :])
     sign = np.sign(diff)
 
     def vjp(g):
-        per_pair = np.zeros((m * m, d), dtype=g.dtype)
-        per_pair[pairs.upper] = g[:-1] * sign
-        per_pair = per_pair.reshape(m, m, d)
-        return (per_pair.sum(axis=1) - per_pair.sum(axis=0),)
+        per_pair = np.zeros(lead + (m * m, d), dtype=g.dtype)
+        per_pair[..., pairs.upper, :] = g[..., :-1, :] * sign
+        per_pair = per_pair.reshape(lead + (m, m, d))
+        return (per_pair.sum(axis=-2) - per_pair.sum(axis=-3),)
 
     return _emit(data, (a,), vjp)
 
 
+@functools.lru_cache(maxsize=64)
+def _stacked_pairs(m, count):
+    """The ``rows`` and ``cols`` of ``pair_index(m)``, then one pair (0,
+    0) for the diagonal, for each of ``count`` (m, d) blocks stacked into
+    one (count * m, d) array, block after block."""
+    pairs = pair_index(m)
+    offsets = np.arange(count)[:, None] * m
+    out = tuple((np.append(idx, 0) + offsets).reshape(-1)
+                for idx in (pairs.rows, pairs.cols))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 def pair_distances(a):
     """Euclidean distance between every unordered pair of rows of an
-    (M, d) tensor, in the layout of ``pair_absdiff``: (P + 1, 1) rows in
-    ``pair_index`` order plus one zero row for the diagonal. Built from
-    explicit row differences, as the inner-product identity loses
-    precision catastrophically near zero.
+    (..., M, d) tensor, in the layout of ``pair_absdiff``: (..., P + 1, 1)
+    rows in ``pair_index`` order plus one zero row for the diagonal.
+    Built from explicit row differences, as the inner-product identity
+    loses precision catastrophically near zero.
 
     Backward forms ``sum_j c_ij (a_i - a_j)``, c_ij = c_ji = g_p / d_ij
     for pair p = (i, j), as one product with the (M, M) matrix c; its
@@ -547,21 +574,25 @@ def pair_distances(a):
     pair at distance zero has zero subgradient, as ``sqrt`` gives.
     """
     a = _as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"pair_distances expects (M, d) rows, got {a.shape}")
-    f = a.data
-    m, d = f.shape
+    if a.ndim < 2:
+        raise ShapeError(f"pair_distances expects (..., M, d) rows, got {a.shape}")
+    lead, (m, d) = a.shape[:-2], a.shape[-2:]
+    count = math.prod(lead)
     pairs = pair_index(m)
-    data = np.zeros((pairs.rows.size + 1, 1), dtype=f.dtype)
-    dist = data[:-1, 0]
+    pair_rows, pair_cols = _stacked_pairs(m, count)
+    f = a.data.reshape(count, m, d)
+    flat = f.reshape(count * m, d)
+    # the (0, 0) pair closing each episode's rows is the exact zero of
+    # the diagonal: a row minus itself
+    dist = np.empty(pair_rows.size, dtype=f.dtype)
     block = min(dist.size, BLOCK_ROWS)
     diff, other = np.empty((2, block, d), dtype=f.dtype)
     # mode="clip" because the indices are valid and "raise" would copy
     # each block through a temporary
     for rows in row_blocks(dist.size):
         size = rows.stop - rows.start
-        np.take(f, pairs.rows[rows], axis=0, out=diff[:size], mode="clip")
-        np.take(f, pairs.cols[rows], axis=0, out=other[:size], mode="clip")
+        np.take(flat, pair_rows[rows], axis=0, out=diff[:size], mode="clip")
+        np.take(flat, pair_cols[rows], axis=0, out=other[:size], mode="clip")
         np.subtract(diff[:size], other[:size], out=diff[:size])
         np.multiply(diff[:size], diff[:size], out=diff[:size])
         np.sum(diff[:size], axis=1, out=dist[rows])
@@ -569,41 +600,43 @@ def pair_distances(a):
 
     def vjp(g):
         per_pair = np.zeros_like(dist)
-        np.divide(g[:-1, 0], dist, out=per_pair, where=dist > 0)
-        c = np.zeros(m * m, dtype=g.dtype)
-        c[pairs.upper] = per_pair
-        c[pairs.lower] = per_pair
-        c = c.reshape(m, m)
-        return (c.sum(axis=1)[:, None] * f - c @ f,)
+        np.divide(g.reshape(-1), dist, out=per_pair, where=dist > 0)
+        c = np.take(per_pair.reshape(count, -1), pairs.spread,
+                    axis=-1).reshape(count, m, m)
+        grad = c.sum(axis=-1)[..., None] * f - c @ f
+        return (grad.reshape(a.shape),)
 
-    return _emit(data, (a,), vjp)
+    return _emit(dist.reshape(lead + (pairs.rows.size + 1, 1)), (a,), vjp)
 
 
 def symmetric_from_pairs(s, m):
-    """The symmetric (m, m) matrix whose (i, j) and (j, i) entries are
-    pair value p of ``s`` (``pair_index`` order) and whose diagonal is
-    its last value; ``s`` holds P + 1 values, as ``mlp_scores`` gives for
-    ``pair_absdiff`` or ``pair_distances`` rows, or those rows themselves.
+    """The symmetric (..., m, m) matrices whose (i, j) and (j, i) entries
+    are pair value p of ``s`` (``pair_index`` order) and whose diagonal
+    is its last value. ``s`` holds P + 1 values along its last axis, as
+    ``mlp_scores`` gives for ``pair_absdiff`` or ``pair_distances`` rows,
+    or along the axis before a trailing axis of one, as those rows do.
     Backward folds g + g^T onto the pairs and the trace onto the last."""
     s = _as_tensor(s)
     pairs = pair_index(m)
-    if s.size != pairs.upper.size + 1:
-        raise ShapeError(f"{m} vertices need {pairs.upper.size + 1} pair "
-                         f"values, got {s.shape}")
-    values = s.data.reshape(-1)
-    data = np.empty(m * m, dtype=s.dtype)
-    data[pairs.upper] = values[:-1]
-    data[pairs.lower] = values[:-1]
-    data[pairs.diag] = values[-1]
+    n = pairs.upper.size + 1
+    if s.shape[-1:] == (n,):
+        lead = s.shape[:-1]
+    elif s.shape[-2:] == (n, 1):
+        lead = s.shape[:-2]
+    else:
+        raise ShapeError(f"{m} vertices need {n} pair values, got {s.shape}")
+    values = s.data.reshape(lead + (n,))
+    data = np.take(values, pairs.spread, axis=-1)
 
     def vjp(g):
-        flat = g.reshape(-1)
+        flat = g.reshape(lead + (m * m,))
         out = np.empty_like(values)
-        np.add(flat[pairs.upper], flat[pairs.lower], out=out[:-1])
-        out[-1] = flat[pairs.diag].sum()
+        np.add(np.take(flat, pairs.upper, axis=-1),
+               np.take(flat, pairs.lower, axis=-1), out=out[..., :-1])
+        out[..., -1] = np.take(flat, pairs.diag, axis=-1).sum(axis=-1)
         return (out.reshape(s.shape),)
 
-    return _emit(data.reshape(m, m), (s,), vjp)
+    return _emit(data.reshape(lead + (m, m)), (s,), vjp)
 
 
 # rows of an (N, h) activation the pair kernels handle at once: their
@@ -632,23 +665,26 @@ def mlp_scores(x, w0, b0, w1, b1, w2, b2, slope=0.01, margin=0.0):
     """A three-layer score net on the rows of ``x``, as one tape node.
 
     Two leaky-ReLU layers (0 <= slope <= 1) and a sigmoid head with a
-    single output unit; each (N,) score is squeezed affinely into
-    [margin, 1 - margin]. Values and gradients equal those of the same
-    net built from ``matmul``/``add``/``leaky_relu``/``sigmoid``/``mul``
-    up to rounding. Rows are processed in blocks of BLOCK_ROWS. When
+    single output unit; each (..., N) score of the (..., N, d) rows is
+    squeezed affinely into [margin, 1 - margin]. Values and gradients
+    equal those of the same net built from
+    ``matmul``/``add``/``leaky_relu``/``sigmoid``/``mul`` up to
+    rounding. The rows of all leading axes together are processed in
+    blocks of BLOCK_ROWS. When
     the call is recorded, the two hidden activations and their sign
     masks are kept for backward, and nothing else; otherwise only the
     block scratch is used.
     """
     x, w0, b0, w1, b1, w2, b2 = inputs = tuple(
         _as_tensor(t) for t in (x, w0, b0, w1, b1, w2, b2))
-    if x.ndim != 2 or w2.shape[1:] != (1,):
+    if x.ndim < 2 or w2.shape[1:] != (1,):
         raise ShapeError(
-            f"mlp_scores expects (N, d) rows and a one-unit head, got "
+            f"mlp_scores expects (..., N, d) rows and a one-unit head, got "
             f"{x.shape} and {w2.shape}")
     if not 0.0 <= slope <= 1.0:
         raise ValueError(f"leaky slope must be in [0, 1], got {slope}")
-    n, dtype = x.shape[0], x.dtype
+    rows_x = x.data.reshape(-1, x.shape[-1])
+    n, dtype = rows_x.shape[0], x.dtype
     layers = ((w0, b0), (w1, b1))
     widths = [w.shape[1] for w, _ in layers]
     block = min(n, BLOCK_ROWS)
@@ -664,7 +700,7 @@ def mlp_scores(x, w0, b0, w1, b1, w2, b2, slope=0.01, margin=0.0):
     # dimension of 1 (the distance input, the one-unit head) in its own
     # loop, several times slower than BLAS
     for rows in row_blocks(n):
-        h, size = x.data[rows], rows.stop - rows.start
+        h, size = rows_x[rows], rows.stop - rows.start
         for k, (w, b) in enumerate(layers):
             out = hidden[k][rows] if keep else scratch[k][:size]
             np.dot(h, w.data, out=out)
@@ -679,13 +715,13 @@ def mlp_scores(x, w0, b0, w1, b1, w2, b2, slope=0.01, margin=0.0):
     z += b2.data
     head = _sigmoid_values(z)
     squeeze = 1.0 - 2.0 * margin
-    data = margin + squeeze * head
+    data = (margin + squeeze * head).reshape(x.shape[:-1])
 
     def vjp(g):
-        gz = ((g * squeeze) * head * (1.0 - head))[:, None]
+        gz = ((g.reshape(-1) * squeeze) * head * (1.0 - head))[:, None]
         grads = [np.zeros_like(t.data) for t in inputs[1:]]
         gw0, gb0, gw1, gb1, gw2, gb2 = grads
-        gx = np.empty_like(x.data) if x.requires_grad else None
+        gx = np.empty_like(rows_x) if x.requires_grad else None
         ones = np.ones(block, dtype=gz.dtype)
         grad_buf, factor_buf = (
             [np.empty((block, k), dtype=gz.dtype) for k in widths]
@@ -702,12 +738,12 @@ def mlp_scores(x, w0, b0, w1, b1, w2, b2, slope=0.01, margin=0.0):
             g0 = np.dot(g1, w1.data.T, out=grad_buf[0][:size])
             g0 *= _leaky_factors(negative[0][rows], slope,
                                  factor_buf[0][:size])
-            gw0 += np.dot(x.data[rows].T, g0)
+            gw0 += np.dot(rows_x[rows].T, g0)
             gb0 += np.dot(one, g0)
             if gx is not None:
                 np.dot(g0, w0.data.T, out=gx[rows])
         gb2 += gz.sum()
-        return (gx, *grads)
+        return (None if gx is None else gx.reshape(x.shape), *grads)
 
     return _emit(data, inputs, vjp)
 
@@ -727,17 +763,17 @@ def softmax(a, axis=-1):
 
 
 def normalize_last(a, eps):
-    """Scale each trailing-axis vector of an (M, M, C) tensor to sum to
-    one, as one node. A vector summing below ``eps`` maps to zeros
+    """Scale each trailing-axis vector of an (..., M, M, C) tensor to sum
+    to one, as one node. A vector summing below ``eps`` maps to zeros
     instead, with zero gradient.
 
     Backward: (g - sum_c g_c y_c) / s on every live vector, y the output
     and s the vector's sum.
     """
     a = _as_tensor(a)
-    if a.ndim != 3:
-        raise ShapeError(f"normalize_last expects (M, M, C), got {a.shape}")
-    sums = _sum_kept(a.data, 2)
+    if a.ndim < 3:
+        raise ShapeError(f"normalize_last expects (..., M, M, C), got {a.shape}")
+    sums = _sum_kept(a.data, -1)
     dead = sums < eps
     any_dead = bool(np.any(dead))
     if any_dead:
@@ -749,7 +785,7 @@ def normalize_last(a, eps):
         data = a.data / sums
 
     def vjp(g):
-        grad = g - _sum_kept(g * data, 2)
+        grad = g - _sum_kept(g * data, -1)
         grad /= sums
         if any_dead:
             grad *= live
@@ -759,38 +795,42 @@ def normalize_last(a, eps):
 
 
 def edge_rescale(affinity, edges, channels, eps):
-    """``s * mass / sum_j s`` for (M, M, C) tensors, with ``s = affinity *
-    edges`` and ``mass = sum_j edges``, as one node: every row of every
-    channel is reweighted by its affinities and keeps the mass it had.
+    """``s * mass / sum_j s`` for (..., M, M, C) tensors, with ``s =
+    affinity * edges`` and ``mass = sum_j edges``, as one node: every row
+    of every channel is reweighted by its affinities and keeps the mass
+    it had.
 
     A row whose mass, or whose affinity-weighted mean ``sum_j s / mass``,
     is below ``eps`` in some channel is a NumericError naming the row
-    and the channel (``channels`` names the trailing axis).
+    and the channel (``channels`` names the trailing axis), and, with
+    leading axes, the episode: the flat index over them.
 
     Backward, with q = sum_j g y / mass per row and channel (y the
     output) and mean = sum_j s / mass: the gradient of s is
     (g - q) / mean, and ``edges`` also receives q along its row.
     """
     a, e = _coerce_pair(affinity, edges)
-    if a.ndim != 3 or a.shape != e.shape:
-        raise ShapeError(f"edge_rescale expects two equal (M, M, C) "
+    if a.ndim < 3 or a.shape != e.shape:
+        raise ShapeError(f"edge_rescale expects two equal (..., M, M, C) "
                          f"tensors, got {a.shape} and {e.shape}")
 
     def require(values, what):
         if np.any(values < eps):
-            i, _, c = np.unravel_index(int(np.argmin(values)), values.shape)
-            raise NumericError(
-                f"edge update: {what} on row {i}, channel {channels[c]!r}")
+            flat = values.reshape((-1,) + values.shape[-3:])
+            b, i, _, c = np.unravel_index(int(np.argmin(flat)), flat.shape)
+            episode = f"episode {b}, " if values.ndim > 3 else ""
+            raise NumericError(f"edge update: {what} on {episode}row {i}, "
+                               f"channel {channels[c]!r}")
 
-    mass = _sum_kept(e.data, 1)
+    mass = _sum_kept(e.data, -2)
     require(mass, "zero total weight")
     scaled = a.data * e.data
-    mean = _sum_kept(scaled, 1) / mass
+    mean = _sum_kept(scaled, -2) / mass
     require(mean, "vanishing affinity mass")
     data = scaled / mean
 
     def vjp(g):
-        q = _sum_kept(g * data, 1)
+        q = _sum_kept(g * data, -2)
         q /= mass
         gs = g - q
         gs /= mean
@@ -803,83 +843,86 @@ def edge_rescale(affinity, edges, channels, eps):
 def pool_channels(weights, sources, tail=None):
     """``concat_c(weights[..., c] @ sources[c])`` along the feature axis,
     then ``tail`` as it is, as one node: each vertex pools every source
-    with its own channel's (M, M) weights. ``weights`` is (M, M, C),
-    ``sources`` holds C (M, d_c) tensors (one may appear more than
-    once), ``tail`` is None or an (M, d) tensor.
+    with its own channel's (M, M) weights. ``weights`` is (..., M, M, C),
+    ``sources`` holds C (..., M, d_c) tensors (one may appear more than
+    once), ``tail`` is None or an (..., M, d) tensor.
     """
     w = _as_tensor(weights)
     srcs = [_as_tensor(t) for t in sources]
     if tail is not None:
         srcs.append(_as_tensor(tail))
     n_pooled = len(sources)
-    if w.ndim != 3 or w.shape[2] != n_pooled:
+    if w.ndim < 3 or w.shape[-1] != n_pooled:
         raise ShapeError(f"pool_channels: weights {w.shape} for "
                          f"{n_pooled} sources")
-    m = w.shape[0]
-    if any(t.ndim != 2 or t.shape[0] != m for t in srcs):
-        raise ShapeError(f"pool_channels expects ({m}, d) sources, got "
-                         f"{[t.shape for t in srcs]}")
+    rows = w.shape[:-2]
+    if any(t.shape[:-1] != rows for t in srcs):
+        raise ShapeError(f"pool_channels expects sources of shape {rows} "
+                         f"+ (d,), got {[t.shape for t in srcs]}")
     # one (M, M) plane per channel, each contiguous for BLAS
-    planes = np.ascontiguousarray(np.moveaxis(w.data, -1, 0))
-    bounds = np.cumsum([0] + [t.shape[1] for t in srcs])
-    data = np.empty((m, bounds[-1]),
+    planes = np.ascontiguousarray(np.moveaxis(w.data, -1, -3))
+    bounds = np.cumsum([0] + [t.shape[-1] for t in srcs])
+    data = np.empty(rows + (bounds[-1],),
                     dtype=np.result_type(w.data, *(t.data for t in srcs)))
     for c, t in enumerate(srcs):
-        data[:, bounds[c]:bounds[c + 1]] = (
-            planes[c] @ t.data if c < n_pooled else t.data)
+        data[..., bounds[c]:bounds[c + 1]] = (
+            planes[..., c, :, :] @ t.data if c < n_pooled else t.data)
 
     def vjp(g):
         gw = np.empty_like(w.data) if w.requires_grad else None
         grads = []
         for c, t in enumerate(srcs):
-            gc = g[:, bounds[c]:bounds[c + 1]]
+            gc = g[..., bounds[c]:bounds[c + 1]]
             if c == n_pooled:
                 grads.append(gc)
                 continue
             if gw is not None:
-                gw[..., c] = gc @ t.data.T
-            grads.append(planes[c].T @ gc if t.requires_grad else None)
+                gw[..., c] = gc @ np.swapaxes(t.data, -1, -2)
+            grads.append(np.swapaxes(planes[..., c, :, :], -1, -2) @ gc
+                         if t.requires_grad else None)
         return (gw, *grads)
 
     return _emit(data, (w, *srcs), vjp)
 
 
 def standardize(a, gain, shift, eps):
-    """Each column of an (N, d) tensor minus its mean, over the root of
-    its population variance plus ``eps``, then times ``gain`` plus
-    ``shift`` ((d,) each), as one node.
+    """Each column of an (..., N, d) tensor minus its mean over the N
+    rows, over the root of its population variance plus ``eps``, then
+    times ``gain`` plus ``shift`` ((d,) each), as one node.
 
     Backward, with h = g gain and x^ the standardised input:
     (h - mean(h) - x^ mean(h x^)) / sd per column.
     """
     a, gain, shift = inputs = tuple(_as_tensor(t) for t in (a, gain, shift))
-    if a.ndim != 2 or gain.shape != a.shape[1:] or shift.shape != gain.shape:
-        raise ShapeError(f"standardize expects (N, d) rows with (d,) gain "
-                         f"and shift, got {a.shape}, {gain.shape}, "
+    if a.ndim < 2 or gain.shape != a.shape[-1:] or shift.shape != gain.shape:
+        raise ShapeError(f"standardize expects (..., N, d) rows with (d,) "
+                         f"gain and shift, got {a.shape}, {gain.shape}, "
                          f"{shift.shape}")
-    centered = a.data - a.data.mean(axis=0, keepdims=True)
-    sd = np.sqrt((centered * centered).mean(axis=0, keepdims=True) + eps)
+    centered = a.data - a.data.mean(axis=-2, keepdims=True)
+    sd = np.sqrt((centered * centered).mean(axis=-2, keepdims=True) + eps)
     unit = centered / sd
     data = unit * gain.data + shift.data
 
     def vjp(g):
         h = g * gain.data
-        grad = h - h.mean(axis=0, keepdims=True)
-        grad -= unit * (h * unit).mean(axis=0, keepdims=True)
+        grad = h - h.mean(axis=-2, keepdims=True)
+        grad -= unit * (h * unit).mean(axis=-2, keepdims=True)
         grad /= sd
-        return grad, (g * unit).sum(axis=0), g.sum(axis=0)
+        d = gain.shape[0]
+        return (grad, (g * unit).reshape(-1, d).sum(axis=0),
+                g.reshape(-1, d).sum(axis=0))
 
     return _emit(data, inputs, vjp)
 
 
 def readout_probs(edges, queries, channel, indicator, complement=False):
-    """Class probabilities read from one channel of an (M, M, C) edge
-    array, as a plain (Q, n) array: the softmax (bitwise ``softmax``'s)
-    of row q's class scores, which sum the edge values from vertex
-    ``queries[q]`` to the vertices the (M, n) ``indicator`` assigns to
-    each class. ``complement`` reads each value as one minus it.
-    ``readout_ce`` differentiates this same rule."""
-    plane = np.ascontiguousarray(edges[queries, :, channel])
+    """Class probabilities read from one channel of an (..., M, M, C)
+    edge array, as a plain (..., Q, n) array: the softmax (bitwise
+    ``softmax``'s) of row q's class scores, which sum the edge values
+    from vertex ``queries[q]`` to the vertices the (..., M, n)
+    ``indicator`` assigns to each class. ``complement`` reads each value
+    as one minus it. ``readout_ce`` differentiates this same rule."""
+    plane = np.take(edges[..., channel], queries, axis=-2)
     if complement:
         plane = 1.0 - plane
     logits = plane @ indicator
@@ -891,7 +934,8 @@ def readout_probs(edges, queries, channel, indicator, complement=False):
 
 def readout_ce(edges, queries, channel, indicator, truth, complement=False):
     """Softmax cross-entropy of the ``readout_probs`` rows against the
-    (Q,) class indices ``truth``, meaned over queries, as one node.
+    (..., Q) class indices ``truth``, meaned over queries, as one node
+    of shape (...): one loss per episode.
 
     Backward: the logits receive g (p - onehot(truth)) / Q, p the
     softmax rows, which flow back to the read edge values through the
@@ -899,19 +943,19 @@ def readout_ce(edges, queries, channel, indicator, truth, complement=False):
     """
     edges = _as_tensor(edges)
     probs = readout_probs(edges.data, queries, channel, indicator, complement)
-    rows = np.arange(len(queries))
-    picked = probs[rows, truth]
+    truth = np.expand_dims(truth, -1)
+    picked = np.take_along_axis(probs, truth, axis=-1)[..., 0]
     if np.any(picked <= 0):
         raise NumericError("log of a non-positive value")
-    data = -np.log(picked).mean()
+    data = -np.log(picked).mean(axis=-1)
 
     def vjp(g):
         glogits = probs.copy()
-        glogits[rows, truth] -= 1.0
-        glogits *= g / len(queries)
-        plane = glogits @ indicator.T
+        np.put_along_axis(glogits, truth, picked[..., None] - 1.0, axis=-1)
+        glogits *= (g / len(queries))[..., None, None]
+        plane = glogits @ np.swapaxes(indicator, -1, -2)
         grad = np.zeros_like(edges.data)
-        grad[queries, :, channel] = -plane if complement else plane
+        grad[..., channel][..., queries, :] = -plane if complement else plane
         return (grad,)
 
     return _emit(data, (edges,), vjp)

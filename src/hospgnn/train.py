@@ -10,7 +10,7 @@ import numpy as np
 
 from . import tensor as T
 from . import losses
-from .data import make_rng, sample_episode
+from .data import make_rng, sample_episode, stack_episodes
 from .errors import ConfigError, DataError, NumericError
 from .graph import parse_variant
 from .model import ModelConfig, ModelParams, config_hash, forward, init_params
@@ -81,11 +81,13 @@ class TrainConfig:
 
 
 class Adam:
-    """Adam with decoupled weight decay.
+    """Adam with decoupled weight decay, over all parameters as one flat
+    vector in ``ModelParams`` order.
 
     Decay multiplies each parameter by (1 - lr*decay) before the moment
     update, so a step with all-zero gradients shrinks parameters by
-    exactly that factor and does nothing else.
+    exactly that factor and does nothing else. Every operation is
+    elementwise, so the flat update equals a per-tensor one bitwise.
     """
 
     def __init__(self, params: ModelParams, learning_rate, weight_decay=0.0):
@@ -93,30 +95,46 @@ class Adam:
         self.learning_rate = learning_rate
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.first = {
-            name: np.zeros_like(p.data) for name, p in params.tensors.items()
-        }
-        self.second = {
-            name: np.zeros_like(p.data) for name, p in params.tensors.items()
-        }
+        tensors = params.values()
+        self.bounds = np.cumsum([0] + [p.size for p in tensors])
+        dtype = np.result_type(*(p.data for p in tensors))
+        self.first = np.zeros(self.bounds[-1], dtype=dtype)
+        self.second = np.zeros(self.bounds[-1], dtype=dtype)
 
-    def step(self):
+    def flat_grads(self):
+        """Every parameter's gradient in one flat vector, zeros where a
+        parameter has none."""
+        return np.concatenate([
+            (np.zeros(p.size, self.first.dtype) if p.grad is None
+             else p.grad.reshape(-1)) for p in self.params.values()])
+
+    def name_at(self, index):
+        """The parameter that holds entry ``index`` of the flat vector."""
+        k = int(np.searchsorted(self.bounds, index, side="right")) - 1
+        return self.params.names()[k]
+
+    def step(self, grads=None):
+        """One update from the flat ``grads`` (``flat_grads`` when
+        None)."""
+        if grads is None:
+            grads = self.flat_grads()
         self.step_count += 1
         b1, b2 = ADAM_BETAS
         bias1 = 1.0 - b1 ** self.step_count
         bias2 = 1.0 - b2 ** self.step_count
         lr = self.learning_rate
-        for name, p in self.params.tensors.items():
-            grad = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if self.weight_decay:
-                p.data *= 1.0 - lr * self.weight_decay
-            m = self.first[name]
-            v = self.second[name]
-            m *= b1
-            m += (1.0 - b1) * grad
-            v *= b2
-            v += (1.0 - b2) * grad * grad
-            p.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+        tensors = self.params.values()
+        theta = np.concatenate([p.data.reshape(-1) for p in tensors])
+        if self.weight_decay:
+            theta *= 1.0 - lr * self.weight_decay
+        m, v = self.first, self.second
+        m *= b1
+        m += (1.0 - b1) * grads
+        v *= b2
+        v += (1.0 - b2) * grads * grads
+        theta -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+        for p, lo, hi in zip(tensors, self.bounds[:-1], self.bounds[1:]):
+            p.data[...] = theta[lo:hi].reshape(p.shape)
 
 
 @dataclass
@@ -180,11 +198,27 @@ def _require_workers(workers):
         raise ConfigError(f"workers must be >= 1, got {workers}")
 
 
+def episode_groups(episodes):
+    """Same-shape episodes, in order, stacked (``stack_episodes``) into
+    groups that each run as one forward pass: as many episodes as fit
+    their P + 1 pair rows (P = M(M - 1)/2) into one ``T.mlp_scores`` row
+    block, and at least one. So a group's activations stay about one
+    block's, and large episodes run one at a time. A group of one is the
+    episode itself, without the leading axis, so it runs exactly the
+    unbatched arithmetic."""
+    m = episodes[0].m
+    size = max(1, T.BLOCK_ROWS // (m * (m - 1) // 2 + 1))
+    chunks = [episodes[i:i + size] for i in range(0, len(episodes), size)]
+    return [stack_episodes(c) if len(c) > 1 else c[0] for c in chunks]
+
+
 def evaluate(ds, params, cfg, episodes, seed=None, workers=1):
     """Mean query accuracy and 95% confidence half-width over episodes.
 
-    Episodes are sampled up front from one stream so the result does not
-    depend on the worker count, which must be at least one.
+    Episodes are sampled up front from one stream and run in
+    ``episode_groups``, which the workers (at least one) share, so the
+    result does not depend on the worker count. Mean and half-width are
+    taken over the per-episode accuracies.
     """
     if episodes < 1:
         raise ConfigError("need at least one evaluation episode")
@@ -196,16 +230,17 @@ def evaluate(ds, params, cfg, episodes, seed=None, workers=1):
         for _ in range(episodes)
     ]
 
-    def run(ep):
-        graph = forward(ep, params)
-        return losses.accuracy(graph, ep)
+    def run(group):
+        graph = forward(group, params)
+        return losses.accuracy(graph, group)
 
+    groups = episode_groups(eps)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            accs = list(pool.map(run, eps))
+            accs = list(pool.map(run, groups))
     else:
-        accs = [run(ep) for ep in eps]
-    accs = np.asarray(accs)
+        accs = [run(group) for group in groups]
+    accs = np.concatenate([np.atleast_1d(a) for a in accs])
     mean = float(accs.mean())
     half = 0.0
     if accs.size > 1:
@@ -232,11 +267,12 @@ def train(ds_train, ds_val, cfg: TrainConfig, workers=1, log=None):
     """Run the episodic loop; return the best checkpoint and the metrics.
 
     Per iteration: sample a batch of episodes, average their total-loss
-    gradients, take one Adam step. Every eval_every iterations the model
-    is scored on validation episodes and the best snapshot kept. A
-    non-finite loss or parameter gradient aborts before the Adam step
-    rather than skipping the batch; skipping hides gradient bugs, and a
-    step would spread the NaN into every parameter.
+    gradients, take one Adam step. The batch runs in ``episode_groups``,
+    one tape each. Every eval_every iterations the model is scored on
+    validation episodes and the best snapshot kept. A non-finite loss or
+    parameter gradient aborts before the Adam step rather than skipping
+    the batch; skipping hides gradient bugs, and a step would spread the
+    NaN into every parameter.
     """
     _require_workers(workers)
     params = init_params(cfg.model, seed=cfg.seed)
@@ -259,25 +295,27 @@ def train(ds_train, ds_val, cfg: TrainConfig, workers=1, log=None):
         ]
         params.zero_grads()
         batch_loss = 0.0
-        for ep in episodes:
+        for group in episode_groups(episodes):
             with T.Tape() as tape:
-                graph = forward(ep, params)
-                ce = losses.episodic_ce(graph, ep)
+                graph = forward(group, params)
+                ce = losses.episodic_ce(graph, group)
                 ml = losses.manifold_loss(graph)
                 total = losses.total_loss(ce, ml, cfg.structure_weight)
-                contribution = T.mul(total, scale)
+                contribution = T.mul(T.tensor_sum(total), scale)
                 tape.backward(contribution)
             batch_loss += float(contribution.data)
         if not np.isfinite(batch_loss):
             raise NumericError(
                 f"non-finite loss {batch_loss} at iteration {iteration}"
             )
-        for name, p in params.tensors.items():
-            if p.grad is not None and not np.all(np.isfinite(p.grad)):
-                raise NumericError(
-                    f"non-finite gradient of {name} at iteration {iteration}"
-                )
-        opt.step()
+        grads = opt.flat_grads()
+        finite = np.isfinite(grads)
+        if not finite.all():
+            raise NumericError(
+                f"non-finite gradient of {opt.name_at(np.argmin(finite))} "
+                f"at iteration {iteration}"
+            )
+        opt.step(grads)
 
         if iteration % cfg.eval_every == 0 or iteration == cfg.total_iterations:
             val_acc, val_ci = evaluate(

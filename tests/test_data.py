@@ -7,6 +7,7 @@ from hospgnn.data import (
     load_dataset,
     make_rng,
     sample_episode,
+    stack_episodes,
     synth_benchmark,
     synth_clusters,
     visible_per_class,
@@ -163,6 +164,28 @@ class TestVisibleCount:
 @pytest.fixture(scope="module")
 def pool():
     return synth_clusters(8, 10, 6, sep=3.0, seed=55)
+
+
+class TestStackEpisodes:
+    def test_arrays_gain_a_leading_episode_axis(self, pool):
+        rng = make_rng(3, 1)
+        eps = [sample_episode(pool, 3, 2, 1, 0.5, rng) for _ in range(4)]
+        stacked = stack_episodes(eps)
+        assert stacked.m == eps[0].m
+        assert np.array_equal(stacked.is_query, eps[0].is_query)
+        for name in ("features", "class_slots", "label_mask", "class_ids",
+                     "item_indices"):
+            assert np.array_equal(getattr(stacked, name),
+                                  np.stack([getattr(e, name) for e in eps]))
+
+    def test_shapes_must_agree(self, pool):
+        rng = make_rng(3, 2)
+        eps = [sample_episode(pool, 3, 2, 1, rng=rng),
+               sample_episode(pool, 3, 1, 2, rng=rng)]
+        with pytest.raises(DataError, match="cannot stack"):
+            stack_episodes(eps)
+        with pytest.raises(DataError, match="no episodes"):
+            stack_episodes([])
 
 
 class TestEpisodeSampling:

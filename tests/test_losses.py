@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hospgnn import tensor as T
-from hospgnn.data import Episode
+from hospgnn.data import Episode, stack_episodes
 from hospgnn.errors import ConfigError, DataError
 from hospgnn.graph import readout_for
 from hospgnn.losses import (
@@ -134,6 +134,31 @@ class TestReadout:
         with pytest.raises(DataError, match=r"no visible support for "
                            r"class slot\(s\) \[1\]"):
             read(g, tiny_task(visible=(True, False)))
+
+    @pytest.mark.parametrize("read", [predict_labels, episodic_ce])
+    def test_hidden_class_is_named_for_a_stacked_episode(self, read):
+        # one of two stacked episodes hides class 1's only support
+        layer = similar_layer([0.5, 0.5], [0.5, 0.5])
+        g = graph_from_edges([np.zeros((2, 4, 4, 1)),
+                              np.stack([layer, layer])])
+        with pytest.raises(DataError, match=r"no visible support for "
+                           r"class slot\(s\) \[1\]"):
+            read(g, stack_episodes([tiny_task(),
+                                    tiny_task(visible=(True, False))]))
+
+    def test_stacked_readout_is_per_episode(self):
+        layers = [similar_layer([0.9, 0.1], [0.2, 0.8]),
+                  similar_layer([0.6, 0.4], [0.7, 0.3])]
+        task = tiny_task()
+        g = graph_from_edges([np.zeros((2, 4, 4, 1)), np.stack(layers)])
+        stacked = stack_episodes([task, task])
+        rows = predict_labels(g, stacked).data
+        ce = episodic_ce(g, stacked).data
+        assert accuracy(g, stacked).tolist() == [1.0, 0.5]
+        for b, layer in enumerate(layers):
+            one = graph_from_edges([np.zeros((4, 4, 1)), layer])
+            assert np.array_equal(rows[b], predict_labels(one, task).data)
+            assert abs(ce[b] - float(episodic_ce(one, task).data)) < 1e-15
 
     def test_layer_selection_and_bounds(self):
         l1 = similar_layer([0.9, 0.1], [0.9, 0.1])

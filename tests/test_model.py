@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from hospgnn import tensor as T
-from hospgnn.data import make_rng, sample_episode, synth_clusters
+from hospgnn.data import make_rng, sample_episode, stack_episodes, synth_clusters
 from hospgnn.errors import ConfigError, NumericError
-from hospgnn.graph import FULL_CHANNELS
+from hospgnn.graph import FULL_CHANNELS, parse_variant
 from hospgnn.losses import (
     episodic_ce,
     manifold_loss,
@@ -445,6 +445,18 @@ class TestEdgeUpdate:
         with pytest.raises(NumericError, match="row 2, channel 'similar'"):
             edge_update(u, v, T.Tensor(dead), params, 0)
 
+    def test_stacked_failure_names_the_episode(self):
+        cfg = ModelConfig(feature_dim=4, hidden_dim=4, use_encoder=False,
+                          metric_hidden=8)
+        params, u, v, e = self.make_inputs(cfg)
+        dead = e.data.copy()
+        dead[2, :, 1] = 0.0
+        u2, v2, e2 = (T.Tensor(np.stack([a, b])) for a, b in (
+            (u.data, u.data), (v.data, v.data), (e.data, dead)))
+        with pytest.raises(NumericError, match="edge update: zero total "
+                           "weight on episode 1, row 2, channel 'similar'"):
+            edge_update(u2, v2, e2, params, 0)
+
     def test_vanishing_affinity_mass_raises(self):
         cfg = ModelConfig(feature_dim=4, hidden_dim=4, use_encoder=False,
                           metric_hidden=8)
@@ -592,6 +604,84 @@ class TestForward:
                                          tiny_episode.m, len(channels))
         pred = predict_labels(graph, tiny_episode).data
         assert np.allclose(pred.sum(axis=1), 1.0, atol=1e-9)
+
+
+def batch_case(variant="rsd", use_encoder=True, metric_input="distance",
+               dtype="float64"):
+    """Parameters off their init, and four same-shape episodes (2-way
+    3-shot 2-query, M = 10) with different visible supports."""
+    pool = synth_clusters(6, 12, 6, sep=3.0, seed=90)
+    eps = [sample_episode(pool, 2, 3, 2, label_fraction=0.5,
+                          rng=make_rng(90, b)) for b in range(4)]
+    cfg = ModelConfig(feature_dim=6, layers=2, hidden_dim=8,
+                      use_encoder=use_encoder, encoder_dim=8,
+                      metric_hidden=12, metric_input=metric_input,
+                      channels=parse_variant(variant),
+                      standardize_vertex=True, aggregate_self=True,
+                      dtype=dtype)
+    params = init_params(cfg, seed=9)
+    offset = make_rng(91, 0)
+    for p in params.values():
+        p.data += 0.1 * offset.standard_normal(p.shape).astype(p.dtype)
+    return cfg, params, eps
+
+
+def step_grads(params, episode):
+    """Parameter gradients of a training step's loss on one tape: the
+    sum of the episodes' total losses (structure weight 0.3), over 4."""
+    params.zero_grads()
+    with T.Tape() as tape:
+        graph = forward(episode, params)
+        total = total_loss(episodic_ce(graph, episode),
+                           manifold_loss(graph), 0.3)
+        tape.backward(T.mul(T.tensor_sum(total), 0.25))
+    return {n: params.t(n).grad.copy() for n in params.names()}
+
+
+class TestBatchGradients:
+    """One tape over a stacked group against the sum of per-episode
+    tapes, within 1e-12 of the largest gradient (float64)."""
+
+    def gap(self, **case):
+        _, params, eps = batch_case(**case)
+        joint = step_grads(params, stack_episodes(eps))
+        single = [step_grads(params, ep) for ep in eps]
+        summed = {n: sum(g[n] for g in single) for n in joint}
+        largest = max(float(np.max(np.abs(g))) for g in summed.values())
+        worst = max(float(np.max(np.abs(joint[n] - summed[n])))
+                    for n in joint)
+        return worst, largest
+
+    @pytest.mark.parametrize("use_encoder", [True, False],
+                             ids=["encoder", "no_encoder"])
+    @pytest.mark.parametrize("variant", ["rsd", "sd", "r"])
+    def test_joint_tape_equals_summed_episode_tapes(self, variant,
+                                                    use_encoder):
+        worst, largest = self.gap(variant=variant, use_encoder=use_encoder)
+        assert worst <= 1e-12 * largest
+
+    def test_absdiff_metric_input(self):
+        worst, largest = self.gap(metric_input="absdiff")
+        assert worst <= 1e-12 * largest
+
+    def test_float32(self):
+        # float32's unit roundoff is 6e-8; the summation order moves
+        # these gradients by about 3e-7 of the largest one
+        worst, largest = self.gap(dtype="float32")
+        assert worst <= 1e-5 * largest
+
+
+class TestBatchForward:
+    def test_slices_match_single_episodes_and_naive_oracle(self):
+        cfg, params, eps = batch_case()
+        graph = forward(stack_episodes(eps), params)
+        arrays = {k: v.data for k, v in params.tensors.items()}
+        for b, ep in enumerate(eps):
+            single = forward(ep, params)
+            naive = NaiveModel(ep, arrays, cfg.to_dict()).forward()[2]
+            for got, one, ref in zip(graph.edges, single.edges, naive):
+                assert np.max(np.abs(got.data[b] - one.data)) <= 1e-12
+                assert np.max(np.abs(got.data[b] - np.array(ref))) <= 1e-10
 
 
 class TestNaiveOracle:

@@ -547,6 +547,19 @@ def test_channel_last_sums_match_numpy(axis):
     assert err < 1e-6
 
 
+@pytest.mark.parametrize("axis", [2, 3, -1, -2])
+def test_stacked_channel_last_sums_match_numpy(axis):
+    # a stacked (B, M, M, C) edge array takes the product-with-ones path
+    # over its last two axes too: numpy's sum to rounding, relative to
+    # the summed magnitudes
+    x = np.random.default_rng(14).normal(size=(2, 5, 5, 3))
+    got = T._sum_kept(x, axis)
+    want = x.sum(axis=axis, keepdims=True)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want)
+                  <= 1e-15 * np.abs(x).sum(axis=axis, keepdims=True))
+
+
 def test_broadcast_gradients_reduce_correctly():
     x = t(np.random.default_rng(7).normal(size=(4, 3)))
     row = t(np.random.default_rng(8).normal(size=(3,)))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,13 +11,17 @@ from hospgnn import losses, tensor as T
 from hospgnn.data import (
     make_rng, sample_episode, synth_benchmark, synth_clusters)
 from hospgnn.errors import ConfigError, DataError, NumericError
-from hospgnn.losses import episodic_ce, manifold_loss, predict_labels, total_loss
+from hospgnn.losses import (
+    accuracy, episodic_ce, manifold_loss, predict_labels, total_loss)
 from hospgnn.model import ModelConfig, forward, init_params
 from hospgnn.train import (
+    _STREAM_EVAL,
     ADAM_BETAS,
+    ADAM_EPS,
     Adam,
     Checkpoint,
     TrainConfig,
+    episode_groups,
     evaluate,
     load_checkpoint,
     run_ablation,
@@ -120,6 +128,40 @@ class TestAdam:
         moved = start - p.data
         assert np.all(moved > 0.05 * 150)
 
+    def test_flat_update_equals_per_tensor_loop_bitwise(self):
+        params = self.params()
+        want = params.copy_arrays()
+        first = {n: np.zeros_like(a) for n, a in want.items()}
+        second = {n: np.zeros_like(a) for n, a in want.items()}
+        lr, decay = 0.01, 0.5
+        opt = Adam(params, learning_rate=lr, weight_decay=decay)
+        rng = np.random.default_rng(2)
+        b1, b2 = ADAM_BETAS
+        for step in range(1, 21):
+            for p in params.values():
+                p.grad = rng.normal(size=p.shape)
+            opt.step()
+            # the per-tensor loop the flat update replaced
+            bias1, bias2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+            for name, p in params.tensors.items():
+                grad, m, v = p.grad, first[name], second[name]
+                want[name] *= 1.0 - lr * decay
+                m *= b1
+                m += (1.0 - b1) * grad
+                v *= b2
+                v += (1.0 - b2) * grad * grad
+                want[name] -= lr * (m / bias1) / (np.sqrt(v / bias2)
+                                                  + ADAM_EPS)
+        for name, p in params.tensors.items():
+            assert np.array_equal(p.data, want[name]), name
+
+    def test_flat_index_names_its_parameter(self):
+        params = self.params()
+        opt = Adam(params, learning_rate=0.1)
+        for k, name in enumerate(params.names()):
+            assert opt.name_at(opt.bounds[k]) == name
+            assert opt.name_at(opt.bounds[k + 1] - 1) == name
+
     def test_missing_grads_treated_as_zero(self):
         params = self.params()
         opt = Adam(params, learning_rate=0.1)
@@ -169,6 +211,50 @@ class TestBatchGradients:
         a, b = grads_separate(), grads_joint()
         worst = max(float(np.max(np.abs(a[n] - b[n]))) for n in a)
         assert worst < 1e-12
+
+
+@pytest.fixture(scope="module")
+def c5_pool():
+    return synth_clusters(6, 20, 16, sep=6.0, seed=74)
+
+
+class TestEpisodeGroups:
+    @pytest.mark.parametrize("shape,batch,tapes", [
+        ((2, 5, 3), 4, 1),     # M = 16: groups of up to 8
+        ((5, 1, 15), 2, 2),    # M = 80: one episode per group
+    ], ids=["m16", "m80"])
+    def test_one_tape_per_group(self, monkeypatch, c5_pool, shape, batch,
+                                tapes):
+        # criterion 5's model; a tape records the same nodes for one
+        # episode as for a stacked group
+        nodes = []
+        real = T.Tape.backward
+
+        def spy(tape, loss):
+            nodes.append(len(tape))
+            return real(tape, loss)
+
+        monkeypatch.setattr(T.Tape, "backward", spy)
+        n_way, k_shot, n_query = shape
+        cfg = TrainConfig(model=ModelConfig(**C5_MODEL), n_way=n_way,
+                          k_shot=k_shot, n_query=n_query, label_fraction=0.4,
+                          batch_episodes=batch, total_iterations=1,
+                          eval_episodes=1, seed=3)
+        train(c5_pool, c5_pool, cfg)
+        assert len(nodes) == tapes
+        assert max(nodes) <= 60, nodes
+
+    def test_group_sizes_fill_one_row_block(self, c5_pool):
+        rng = make_rng(5, 0)
+        for shape, sizes in (((2, 5, 3), [8, 8, 4]), ((5, 1, 3), [5] * 4),
+                             ((3, 2, 13), [1] * 20)):
+            eps = [sample_episode(c5_pool, *shape, rng=rng)
+                   for _ in range(20)]
+            groups = episode_groups(eps)
+            assert [g.features.shape[0] if g.features.ndim == 3 else 1
+                    for g in groups] == sizes
+        # a group of one is the episode itself
+        assert groups[0] is eps[0]
 
 
 @pytest.fixture(scope="module")
@@ -269,6 +355,22 @@ class TestFloat32:
 
 
 class TestEvaluate:
+    def test_groups_give_the_per_episode_statistics(self):
+        # M = 16, 20 episodes: groups of 8, 8 and 4; the mean and the
+        # 95% half-width are over the 20 episodes' own accuracies
+        pool = synth_clusters(6, 20, 8, sep=2.0, seed=75)
+        cfg = small_cfg(n_way=2, k_shot=5, n_query=3, label_fraction=0.4)
+        params = init_params(cfg.model, seed=3)
+        one = evaluate(pool, params, cfg, episodes=20, seed=6, workers=1)
+        two = evaluate(pool, params, cfg, episodes=20, seed=6, workers=2)
+        assert one == two
+        rng = make_rng(6, _STREAM_EVAL)
+        eps = [sample_episode(pool, 2, 5, 3, 0.4, rng) for _ in range(20)]
+        assert len(episode_groups(eps)) == 3
+        accs = np.array([accuracy(forward(ep, params), ep) for ep in eps])
+        assert one == (float(accs.mean()),
+                       float(1.96 * accs.std(ddof=1) / np.sqrt(20)))
+
     def test_worker_count_does_not_change_result(self, train_pool):
         cfg = small_cfg()
         params = init_params(cfg.model, seed=0)
@@ -304,6 +406,39 @@ class TestEvaluate:
         # train refuses before its first iteration, not at its first eval
         with pytest.raises(ConfigError, match="workers"):
             train(train_pool, val_pool, cfg, workers=workers)
+
+
+MEMORY_CHILD = """
+import resource, sys
+from hospgnn import ModelConfig, TrainConfig, synth_benchmark, train
+iterations, batch = int(sys.argv[1]), int(sys.argv[2])
+ds_train, ds_val, _ = synth_benchmark(20, 8, 8, per_class=30, dim=16,
+                                      sep=6.0, seed=1)
+cfg = TrainConfig(model=ModelConfig(**{model!r}), n_way=5, k_shot=1,
+                  n_query=15, batch_episodes=batch,
+                  total_iterations=iterations, eval_every=iterations,
+                  eval_episodes=1, seed=3)
+train(ds_train, ds_val, cfg)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_peak_memory_is_one_groups_activations():
+    # M = 80 training in fresh processes: peak RSS must not grow with the
+    # iteration count or the batch size (one episode per group at M = 80)
+    src = str(Path(__import__("hospgnn").__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    code = MEMORY_CHILD.format(model=C5_MODEL)
+    runs = [subprocess.Popen([sys.executable, "-c", code, str(it), str(b)],
+                             stdout=subprocess.PIPE, env=env, text=True)
+            for it, b in ((5, 2), (50, 2), (10, 8))]
+    peaks_mb = []
+    for proc in runs:
+        out, _ = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        peaks_mb.append(int(out.split()[-1]) / 1024.0)
+    assert max(peaks_mb) - min(peaks_mb) <= 15.0, peaks_mb
 
 
 class TestCheckpoint:
