@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__
 from .data import load_dataset, synth_clusters, write_dataset
 from .errors import ConfigError, DataError, NumericError
-from .graph import CHANNEL_ORDER, FULL_CHANNELS, parse_variant
+from .graph import parse_variant
 from .model import FIELD_CHOICES, ModelConfig
 from .train import (
     ABLATION_AXES,
@@ -79,8 +79,8 @@ TRAIN_OPTIONS = (
 )
 
 # flag spellings that differ from the field name; a config file accepts
-# either spelling. use_encoder is switched off by --no-encoder, and
-# channels are given as --variant letters (or a "channels" list)
+# either spelling. channels are given as --variant letters (or a
+# "channels" list)
 FLAG_NAMES = {
     "n_query": "queries",
     "structure_weight": "lambda",
@@ -108,14 +108,13 @@ CONFIG_KEYS = {
 }
 
 
-def _variant_name(channels):
-    """The --variant spelling of a sequence of channel names."""
-    channels = tuple(channels)
-    if not all(ch in CHANNEL_ORDER for ch in channels):
-        raise ConfigError(f"bad channel set {channels!r}")
-    if channels == FULL_CHANNELS:
-        return "full"
-    return "".join(ch[0] for ch in channels)
+def _variant(text):
+    """--variant's type: the channel tuple ``parse_variant`` reads, its
+    error shown as the flag's usage error."""
+    try:
+        return parse_variant(text)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _option_schema():
@@ -133,23 +132,21 @@ def _add_run_flags(p):
     for name in EPISODE_OPTIONS + MODEL_OPTIONS + TRAIN_OPTIONS:
         kind, default = kinds[name], defaults[name]
         spelling = FLAG_NAMES.get(name, name)
+        if kind is bool and default:
+            # a bool flag sets the value its default is not, so an
+            # option on by default is switched off: --no-encoder
+            spelling = "no_" + spelling.removeprefix("use_")
         flag = "--" + spelling.replace("_", "-")
         help_text = FLAG_HELP.get(name)
         choices = FIELD_CHOICES.get(name)
         # usage shows the flag's spelling, not the field name
         metavar = None if choices else spelling.upper()
-        if name == "use_encoder":
-            p.add_argument("--no-encoder", action="store_true",
-                           default=not default)
-        elif kind is bool:
-            p.add_argument(flag, dest=name, action="store_true",
-                           default=default, help=help_text)
-        elif name == "channels":
-            p.add_argument(flag, dest=name, default=_variant_name(default),
-                           metavar=metavar, help=help_text)
+        if kind is bool:
+            p.add_argument(flag, dest=name, default=default, help=help_text,
+                           action="store_false" if default else "store_true")
         else:
             p.add_argument(flag, dest=name, default=default, help=help_text,
-                           type=None if kind is str else kind,
+                           type={str: None, tuple: _variant}.get(kind, kind),
                            choices=choices, metavar=metavar)
 
 
@@ -217,16 +214,20 @@ def load_config_defaults(path):
         if not (_fits(value, kind) or value is None and nullable):
             raise ConfigError(f"config file {path}: key {key!r} must be "
                               f"{kind.__name__}, got {value!r}")
-        if name == "use_encoder":
-            defaults["no_encoder"] = not value
+        if key == "variant":
+            value = parse_variant(value)
         elif key == "channels":
-            defaults[name] = _variant_name(value)
-        else:
-            defaults[name] = value
+            value = tuple(value)
+        defaults[name] = value
     return defaults
 
 
 def make_parser(config_defaults=None):
+    # a config file's seed and workers are the top parser's defaults, so
+    # a global flag given before the subcommand still wins over them
+    config_defaults = dict(config_defaults or {})
+    top = {key: config_defaults.pop(key)
+           for key in ("seed", "workers") if key in config_defaults}
     parser = argparse.ArgumentParser(
         prog="hospgnn",
         description="Few-shot episode-graph classifier with relative-metric "
@@ -245,12 +246,7 @@ def make_parser(config_defaults=None):
         p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
         p.add_argument("--workers", type=int, default=argparse.SUPPRESS)
         p.add_argument("--config", type=Path, default=argparse.SUPPRESS)
-        if config_defaults:
-            known = {
-                key: value for key, value in config_defaults.items()
-                if any(action.dest == key for action in p._actions)
-            }
-            p.set_defaults(**known)
+        p.set_defaults(**config_defaults)
         return p
 
     p = sub.add_parser("synth", help="write a synthetic embedding dataset")
@@ -290,49 +286,30 @@ def make_parser(config_defaults=None):
     p.add_argument("--out-dir", type=Path, default=Path("ablation"))
     finish(p)
 
-    if config_defaults:
-        top = {
-            key: value for key, value in config_defaults.items()
-            if key in ("seed", "workers")
-        }
-        parser.set_defaults(**top)
+    parser.set_defaults(**top)
     return parser
-
-
-def _extract_config_path(argv):
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if token.startswith("--config="):
-            return token.split("=", 1)[1]
-    return None
 
 
 def config_from_args(args, feature_dim):
     """Materialize the resolved TrainConfig for this invocation."""
     opts = vars(args)
-    model = {name: opts[name] for name in MODEL_OPTIONS
-             if name != "use_encoder"}
-    model.update(feature_dim=feature_dim, use_encoder=not args.no_encoder,
-                 channels=parse_variant(args.channels))
     return TrainConfig(
-        model=ModelConfig(**model), seed=args.seed,
+        model=ModelConfig(feature_dim=feature_dim,
+                          **{name: opts[name] for name in MODEL_OPTIONS}),
+        seed=args.seed,
         **{name: opts[name] for name in EPISODE_OPTIONS + TRAIN_OPTIONS},
     )
 
 
-def write_metrics_csv(path, rows, manifest_hash):
+def write_csv(path, manifest_hash, header, rows):
+    """A ``# manifest=`` line, the header, then one line per row, each
+    float written as its ``repr`` so it reads back exactly."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# manifest={manifest_hash}\n")
         writer = csv.writer(fh)
-        writer.writerow(["iter", "loss", "val_acc", "val_ci"])
-        for row in rows:
-            writer.writerow([
-                row.iteration,
-                repr(row.loss),
-                repr(row.val_accuracy),
-                repr(row.val_ci),
-            ])
+        writer.writerow(header)
+        writer.writerows([repr(v) if isinstance(v, float) else v
+                          for v in row] for row in rows)
 
 
 def cmd_synth(args):
@@ -349,21 +326,22 @@ def cmd_synth(args):
     return 0
 
 
-def _require_train_dim(ds_train, *splits):
-    """A data error unless every given split has the training dimension;
-    checked before any training starts."""
-    for ds in splits:
-        if ds is not None and ds.dim != ds_train.dim:
-            raise DataError(f"dimension mismatch: train dim {ds_train.dim}, "
-                            f"{ds.split} dim {ds.dim}")
-
-
-def cmd_train(args):
+def _load_splits(args):
+    """The train, validation and test splits (test None when no --test
+    is given) and the run config. A data error unless every split has
+    the training dimension, raised before any training starts."""
     ds_train = load_dataset(args.train_path, "train")
     ds_val = load_dataset(args.val_path, "validation")
     ds_test = load_dataset(args.test_path, "test") if args.test_path else None
-    _require_train_dim(ds_train, ds_val, ds_test)
-    cfg = config_from_args(args, feature_dim=ds_train.dim)
+    for ds in (ds_val, ds_test):
+        if ds is not None and ds.dim != ds_train.dim:
+            raise DataError(f"dimension mismatch: train dim {ds_train.dim}, "
+                            f"{ds.split} dim {ds.dim}")
+    return ds_train, ds_val, ds_test, config_from_args(args, ds_train.dim)
+
+
+def cmd_train(args):
+    ds_train, ds_val, ds_test, cfg = _load_splits(args)
 
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -388,7 +366,9 @@ def cmd_train(args):
     best, metrics = train(ds_train, ds_val, cfg,
                           workers=args.workers, log=progress)
     save_checkpoint(best, ckpt_path)
-    write_metrics_csv(metrics_path, metrics, manifest["manifest_hash"])
+    write_csv(metrics_path, manifest["manifest_hash"],
+              ["iter", "loss", "val_acc", "val_ci"],
+              map(dataclasses.astuple, metrics))
 
     if ds_test is not None:
         test_acc, test_ci = evaluate_test(ds_test, best, cfg, args.workers)
@@ -445,7 +425,6 @@ def cmd_eval(args):
 DEFAULT_AXIS_VALUES = {
     "variant": ["d", "s", "r", "rd", "rs", "full"],
     "layers": [1, 2, 3],
-    "loss": [0.0, 1e-5],
     "structure_weight": [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7],
     "label_fraction": [0.2, 0.4, 1.0],
 }
@@ -463,21 +442,17 @@ def _format_table(axis, rows):
 
 
 def cmd_ablate(args):
-    ds_train = load_dataset(args.train_path, "train")
-    ds_val = load_dataset(args.val_path, "validation")
-    ds_test = load_dataset(args.test_path, "test")
-    _require_train_dim(ds_train, ds_val, ds_test)
-    cfg = config_from_args(args, feature_dim=ds_train.dim)
+    ds_train, ds_val, ds_test, cfg = _load_splits(args)
 
     axis = args.axis
     values = args.values
-    if values is None:
-        values = list(DEFAULT_AXIS_VALUES[axis])
     if axis == "loss":
         # two rows: classification loss alone vs the full objective
         axis = "structure_weight"
-        if args.values is None:
+        if values is None:
             values = [0.0, cfg.structure_weight]
+    if values is None:
+        values = list(DEFAULT_AXIS_VALUES[axis])
     if axis == "layers":
         values = [int(v) for v in values]
     elif axis in ("structure_weight", "label_fraction"):
@@ -503,15 +478,9 @@ def cmd_ablate(args):
 
     text = _format_table(args.axis, rows)
     table_path.write_text(f"# manifest={manifest['manifest_hash']}\n{text}\n")
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(f"# manifest={manifest['manifest_hash']}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["axis", "value", "accuracy", "ci", "best_iter"])
-        for row in rows:
-            writer.writerow([
-                row.axis, row.value, repr(row.accuracy), repr(row.ci),
-                row.best_iteration,
-            ])
+    write_csv(csv_path, manifest["manifest_hash"],
+              ["axis", "value", "accuracy", "ci", "best_iter"],
+              map(dataclasses.astuple, rows))
     print(text)
     print(f"outputs in {out}")
     return 0
@@ -528,11 +497,12 @@ COMMANDS = {
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        config_path = _extract_config_path(argv)
-        defaults = load_config_defaults(config_path) if config_path else None
-        parser = make_parser(defaults)
         try:
-            args = parser.parse_args(argv)
+            args = make_parser().parse_args(argv)
+            if args.config is not None:
+                # parse again with the file's values as the defaults
+                defaults = load_config_defaults(args.config)
+                args = make_parser(defaults).parse_args(argv)
         except SystemExit as exc:
             # argparse exits 2 on usage problems; the contract says 1
             return 0 if exc.code == 0 else USAGE_EXIT

@@ -19,7 +19,7 @@ from .errors import ConfigError, DataError
 from .graph import channel_index, complemented, readout_for
 
 
-def _readout(graph, episode, channel):
+def _readout(graph, episode, channel=None):
     """The keyword arguments of ``T.readout_probs`` and ``T.readout_ce``
     for an episode: the query rows of the edge tensor, the channel read
     (as its complement if ``graph.complemented``), and the constant
@@ -62,26 +62,25 @@ def predict_labels(graph, episode, channel=None, layer=None):
 
 
 def hard_labels(pred_rows):
-    """Argmax class slot per query row."""
-    data = pred_rows.data if isinstance(pred_rows, T.Tensor) else np.asarray(pred_rows)
-    return np.argmax(data, axis=-1)
+    """Argmax class slot per query row of ``predict_labels`` output."""
+    return np.argmax(pred_rows.data, axis=-1)
 
 
 def query_slots(episode):
     return episode.class_slots[..., episode.is_query]
 
 
-def accuracy(graph, episode, channel=None, layer=None):
+def accuracy(graph, episode):
     """Fraction of queries whose top class at the final level is right,
     per episode: a float, or an array over a stacked episode's axis."""
-    rows = predict_labels(graph, episode, channel=channel, layer=layer)
+    rows = predict_labels(graph, episode)
     return np.mean(hard_labels(rows) == query_slots(episode), axis=-1)
 
 
-def per_layer_ce(graph, episode, channel=None):
+def per_layer_ce(graph, episode):
     """Cross-entropy of each level's predictions, meaned over queries,
     one ``T.readout_ce`` node per level."""
-    readout = _readout(graph, episode, channel)
+    readout = _readout(graph, episode)
     truth = query_slots(episode)
     return [T.readout_ce(graph.edges[layer], truth=truth, **readout)
             for layer in range(1, graph.num_layers + 1)]
@@ -95,9 +94,9 @@ def _add_all(terms):
     return out
 
 
-def episodic_ce(graph, episode, channel=None):
+def episodic_ce(graph, episode):
     """Total classification loss: the per-layer means, summed."""
-    return _add_all(per_layer_ce(graph, episode, channel=channel))
+    return _add_all(per_layer_ce(graph, episode))
 
 
 def per_layer_manifold(graph):
@@ -130,7 +129,8 @@ def total_loss(ce, structure, weight):
 
 @dataclass
 class LossReport:
-    """Scalar views of one (unstacked) episode's losses, for logging."""
+    """Views of an episode's losses, for logging: floats, or for a
+    stacked episode lists with one value per episode."""
 
     ce_per_layer: list
     structure_per_layer: list
@@ -140,26 +140,26 @@ class LossReport:
     total: float
 
 
-def report_losses(graph, episode, weight, channel=None):
-    """Compute the training loss and a float-only report together.
+def report_losses(graph, episode, weight):
+    """Compute the training loss and a number-only report together.
 
     Returns (total Tensor, LossReport); the Tensor is what backward runs
     on, the report is safe to stash or serialize.
     """
-    ce_terms = per_layer_ce(graph, episode, channel=channel)
+    ce_terms = per_layer_ce(graph, episode)
     ce = _add_all(ce_terms)
     ml_layers = per_layer_manifold(graph)
     ml = T.tensor_sum(_add_all(ml_layers), axis=-1)
     total = total_loss(ce, ml, weight)
     report = LossReport(
-        ce_per_layer=[float(t.data) for t in ce_terms],
+        ce_per_layer=[t.data.tolist() for t in ce_terms],
         structure_per_layer=[
-            dict(zip(graph.channels, terms.data.tolist()))
+            dict(zip(graph.channels, np.moveaxis(terms.data, -1, 0).tolist()))
             for terms in ml_layers
         ],
         weight=float(weight),
-        ce=float(ce.data),
-        structure=float(ml.data),
-        total=float(total.data),
+        ce=ce.data.tolist(),
+        structure=ml.data.tolist(),
+        total=total.data.tolist(),
     )
     return total, report

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import make_rng
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DataError
 from .graph import (
     CHANNEL_ORDER,
     DENOM_EPS,
@@ -172,10 +172,14 @@ class ModelParams:
         return {name: p.data.copy() for name, p in self.tensors.items()}
 
     def load_arrays(self, arrays):
+        """Copy stored arrays in; a data error names a missing or
+        wrong-shape parameter."""
         for name, p in self.tensors.items():
+            if name not in arrays:
+                raise DataError(f"parameter {name}: not stored")
             src = np.asarray(arrays[name])
             if src.shape != p.shape:
-                raise ShapeError(
+                raise DataError(
                     f"parameter {name}: stored shape {src.shape} != {p.shape}"
                 )
             p.data = src.astype(p.dtype, copy=True)

@@ -279,12 +279,12 @@ def train(ds_train, ds_val, cfg: TrainConfig, workers=1, log=None):
     opt = Adam(params, cfg.learning_rate, cfg.weight_decay)
     train_rng = make_rng(cfg.seed, _STREAM_TRAIN)
     metrics = []
-    best = Checkpoint(
-        arrays=params.copy_arrays(),
-        iteration=0,
-        val_accuracy=-1.0,
-        config=cfg,
-    )
+
+    def snapshot(iteration, val_accuracy):
+        return Checkpoint(arrays=params.copy_arrays(), iteration=iteration,
+                          val_accuracy=val_accuracy, config=cfg)
+
+    best = snapshot(0, -1.0)
 
     scale = 1.0 / cfg.batch_episodes
     for iteration in range(1, cfg.total_iterations + 1):
@@ -327,21 +327,11 @@ def train(ds_train, ds_val, cfg: TrainConfig, workers=1, log=None):
             if log is not None:
                 log(row)
             if val_acc > best.val_accuracy:
-                best = Checkpoint(
-                    arrays=params.copy_arrays(),
-                    iteration=iteration,
-                    val_accuracy=val_acc,
-                    config=cfg,
-                )
+                best = snapshot(iteration, val_acc)
             if cfg.target_accuracy is not None and val_acc >= cfg.target_accuracy:
                 break
     if best.val_accuracy < 0:
-        best = Checkpoint(
-            arrays=params.copy_arrays(),
-            iteration=cfg.total_iterations,
-            val_accuracy=float("nan"),
-            config=cfg,
-        )
+        best = snapshot(cfg.total_iterations, float("nan"))
     return best, metrics
 
 

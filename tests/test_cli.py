@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import typing
 
 import numpy as np
 import pytest
@@ -171,6 +172,23 @@ class TestEval:
                    "--data", str(data_files["test"]), "--episodes", "2"])
         assert rc == 2
         assert "unsupported checkpoint version 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["removed", "reshaped"])
+    def test_damaged_parameter_is_data_error(self, tmp_path, data_files,
+                                             capsys, damage):
+        path = run_train(data_files, tmp_path / "run") / "checkpoint.npz"
+        with np.load(path) as raw:
+            payload = {k: raw[k] for k in raw.files}
+        key = "param/layer0.vertex.w"
+        if damage == "removed":
+            del payload[key]
+        else:
+            payload[key] = payload[key][:-1]
+        np.savez(path, **payload)
+        rc = main(["eval", "--checkpoint", str(path),
+                   "--data", str(data_files["test"]), "--episodes", "2"])
+        assert rc == 2
+        assert "parameter layer0.vertex.w" in capsys.readouterr().err
 
 
 class TestAblate:
@@ -354,6 +372,13 @@ class TestConfigFile:
         assert rc == 1
         assert f"key {key!r} appears twice" in capsys.readouterr().err
 
+    def test_abbreviated_config_flag_reads_the_file(self, tmp_path, capsys):
+        # argparse accepts --conf for --config; the file must be read then
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"variant": "q"}))
+        assert main(TRAIN_ARGV + ["--conf", str(path)]) == 1
+        assert "unknown variant 'q'" in capsys.readouterr().err
+
     def test_ints_for_floats_and_null_target_accepted(self, tmp_path):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"learning_rate": 1,
@@ -461,6 +486,40 @@ class TestOptionSchema:
                      "--aggregate-normalize", "--readout-channel"):
             assert flag not in text
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_bool_flag_is_no_exactly_when_default_is_true(self, command):
+        # a bool flag sets the value its default is not; if a default
+        # flips, its flag must flip with it rather than silently switch
+        # the option the other way
+        configs = (ModelConfig, TrainConfig)
+        kinds = {name: kind for cls in configs
+                 for name, kind in typing.get_type_hints(cls).items()}
+        defaults = {f.name: f.default for cls in configs
+                    for f in dataclasses.fields(cls)}
+        commands = next(a for a in make_parser()._actions
+                        if a.dest == "command")
+        actions = {a.dest: a for a in commands.choices[command]._actions}
+        bools = [name for name in MODEL_OPTIONS + TRAIN_OPTIONS
+                 + EPISODE_OPTIONS if kinds[name] is bool]
+        assert "use_encoder" in bools and "aggregate_self" in bools
+        for name in bools:
+            action = actions[name]
+            [flag] = action.option_strings
+            assert flag.startswith("--no-") == defaults[name], flag
+            assert action.default == defaults[name]
+            assert action.const == (not defaults[name])
+
+    def test_global_flags_before_the_command_beat_the_config(self,
+                                                              tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"seed": 5, "workers": 3}))
+        flags = ["--seed", "4", "--workers", "2"]
+        for argv in (flags + TRAIN_ARGV, TRAIN_ARGV + flags):
+            cfg, workers = resolve(argv, path)
+            assert (cfg.seed, workers) == (4, 2)
+        cfg, workers = resolve(TRAIN_ARGV, path)
+        assert (cfg.seed, workers) == (5, 3)
+
     def test_unknown_channel_name_is_usage_error(self, tmp_path, data_files):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"channels": ["similar", "sim"]}))
@@ -483,6 +542,20 @@ class TestExitCodes:
                    "--val", str(data_files["val"]),
                    "--variant", "xyz", "--out-dir", str(tmp_path / "x")])
         assert rc == 1
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_bad_variant_names_the_allowed_spellings(self, tmp_path,
+                                                     data_files, capsys,
+                                                     where):
+        extra = ["--variant", "xyz"]
+        if where == "config":
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps({"variant": "xyz"}))
+            extra = ["--config", str(path)]
+        assert main(["train", "--train", str(data_files["train"]),
+                     "--val", str(data_files["val"]),
+                     "--out-dir", str(tmp_path / "x"), *extra]) == 1
+        assert "letters from r/s/d" in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_fewer_than_one_worker_is_usage_error(self, tmp_path, data_files,

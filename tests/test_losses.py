@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hospgnn import tensor as T
-from hospgnn.data import Episode, stack_episodes
+from hospgnn.data import Episode, make_rng, sample_episode, stack_episodes
 from hospgnn.errors import ConfigError, DataError
 from hospgnn.graph import readout_for
 from hospgnn.losses import (
@@ -281,6 +281,27 @@ class TestReport:
         assert abs(rep.structure - sum(per_layer_totals)) < 1e-12
         assert abs(rep.total - (rep.ce + 0.3 * rep.structure)) < 1e-12
         assert abs(float(total.data) - rep.total) < 1e-12
+
+    def test_stacked_report_has_one_value_per_episode(self, desk_splits,
+                                                      tiny_params):
+        train, _, _ = desk_splits
+        eps = stack_episodes([
+            sample_episode(train, 2, 1, 1, 1.0, make_rng(17, b))
+            for b in range(3)])
+        graph = forward(eps, tiny_params)
+        total, rep = report_losses(graph, eps, weight=0.3)
+        ce_layers = per_layer_ce(graph, eps)
+        ml_layers = per_layer_manifold(graph)
+        assert rep.total == total.data.tolist()
+        assert rep.ce == episodic_ce(graph, eps).data.tolist()
+        assert rep.structure == manifold_loss(graph).data.tolist()
+        assert rep.ce_per_layer == [t.data.tolist() for t in ce_layers]
+        for per_channel, terms in zip(rep.structure_per_layer, ml_layers):
+            assert list(per_channel) == list(graph.channels)
+            for c, values in enumerate(per_channel.values()):
+                assert values == terms.data[:, c].tolist()
+        assert all(type(v) is float for v in rep.ce + rep.total)
+        assert len(rep.ce) == 3
 
     def test_gradient_flows_through_both_parts(self, tiny_episode,
                                                tiny_params):
