@@ -642,7 +642,8 @@ def symmetric_from_pairs(s, m):
 # rows of an (N, h) activation the pair kernels handle at once: their
 # scratch stays small and is reused, where whole (N, h) temporaries are
 # fresh pages on every call, whose page faults can cost more than the
-# arithmetic on them
+# arithmetic on them. ``mlp_scores`` keeps no (N, h) array for backward
+# either: its VJP rebuilds each block's hidden activations in scratch.
 BLOCK_ROWS = 1024
 
 
@@ -661,6 +662,31 @@ def _leaky_factors(negative, slope, out):
     return out
 
 
+def _hidden_blocks(rows_x, layers, slope, hidden, temp, negative=None):
+    """For each row block of ``rows_x``, writes the two leaky-ReLU layers'
+    activations into the first rows of the (BLOCK_ROWS, h) scratch
+    ``hidden`` (and their masks of negative inputs into ``negative``,
+    when given) and yields the block's slice and size. Forward and
+    backward both run this, so the rebuilt activations are the forward's
+    bit for bit."""
+    for rows in row_blocks(rows_x.shape[0]):
+        h, size = rows_x[rows], rows.stop - rows.start
+        for k, (w, b) in enumerate(layers):
+            out = hidden[k][:size]
+            # np.dot, not matmul: numpy runs a product with an inner or
+            # outer dimension of 1 (the distance input, the one-unit
+            # head) in its own loop, several times slower than BLAS
+            np.dot(h, w, out=out)
+            out += b
+            if negative is not None:
+                np.less(out, 0, out=negative[k][:size])
+            # max(h, slope h) is the leaky ReLU for slopes in [0, 1]
+            np.maximum(out, np.multiply(out, slope, out=temp[k][:size]),
+                       out=out)
+            h = out
+        yield rows, size
+
+
 def mlp_scores(x, w0, b0, w1, b1, w2, b2, slope=0.01, margin=0.0):
     """A three-layer score net on the rows of ``x``, as one tape node.
 
@@ -670,49 +696,40 @@ def mlp_scores(x, w0, b0, w1, b1, w2, b2, slope=0.01, margin=0.0):
     equal those of the same net built from
     ``matmul``/``add``/``leaky_relu``/``sigmoid``/``mul`` up to
     rounding. The rows of all leading axes together are processed in
-    blocks of BLOCK_ROWS. When
-    the call is recorded, the two hidden activations and their sign
-    masks are kept for backward, and nothing else; otherwise only the
-    block scratch is used.
+    blocks of BLOCK_ROWS, through block scratch only.
+
+    For backward a recorded call keeps the input rows, the head values
+    and a copy of the six weights, nothing of size N times a hidden
+    width. The VJP rebuilds each block's two hidden activations and
+    their masks of negative inputs from these, bit for bit as the
+    forward computed them; the copy keeps an in-place weight edit made
+    before backward out of the gradient.
     """
-    x, w0, b0, w1, b1, w2, b2 = inputs = tuple(
-        _as_tensor(t) for t in (x, w0, b0, w1, b1, w2, b2))
-    if x.ndim < 2 or w2.shape[1:] != (1,):
+    inputs = tuple(_as_tensor(t) for t in (x, w0, b0, w1, b1, w2, b2))
+    x, head_w = inputs[0], inputs[5]
+    if x.ndim < 2 or head_w.shape[1:] != (1,):
         raise ShapeError(
             f"mlp_scores expects (..., N, d) rows and a one-unit head, got "
-            f"{x.shape} and {w2.shape}")
+            f"{x.shape} and {head_w.shape}")
     if not 0.0 <= slope <= 1.0:
         raise ValueError(f"leaky slope must be in [0, 1], got {slope}")
     rows_x = x.data.reshape(-1, x.shape[-1])
     n, dtype = rows_x.shape[0], x.dtype
+    w0, b0, w1, b1, w2, b2 = (t.data.copy() for t in inputs[1:])
     layers = ((w0, b0), (w1, b1))
     widths = [w.shape[1] for w, _ in layers]
     block = min(n, BLOCK_ROWS)
-    keep = _recording_tape(inputs) is not None
-    temp = [np.empty((block, k), dtype=dtype) for k in widths]
-    if keep:
-        hidden = [np.empty((n, k), dtype=dtype) for k in widths]
-        negative = [np.empty((n, k), dtype=bool) for k in widths]
-    else:
-        scratch = [np.empty((block, k), dtype=dtype) for k in widths]
+
+    def scratch(dtype, sets):
+        """``sets`` lists of one (block, k) buffer per hidden layer."""
+        return [[np.empty((block, k), dtype=dtype) for k in widths]
+                for _ in range(sets)]
+
+    hidden, temp = scratch(dtype, 2)
     z = np.empty(n, dtype=dtype)
-    # np.dot, not matmul: numpy runs a product with an inner or outer
-    # dimension of 1 (the distance input, the one-unit head) in its own
-    # loop, several times slower than BLAS
-    for rows in row_blocks(n):
-        h, size = rows_x[rows], rows.stop - rows.start
-        for k, (w, b) in enumerate(layers):
-            out = hidden[k][rows] if keep else scratch[k][:size]
-            np.dot(h, w.data, out=out)
-            out += b.data
-            if keep:
-                np.less(out, 0, out=negative[k][rows])
-            # max(h, slope h) is the leaky ReLU for slopes in [0, 1]
-            np.maximum(out, np.multiply(out, slope, out=temp[k][:size]),
-                       out=out)
-            h = out
-        np.dot(h, w2.data[:, 0], out=z[rows])
-    z += b2.data
+    for rows, size in _hidden_blocks(rows_x, layers, slope, hidden, temp):
+        np.dot(hidden[1][:size], w2[:, 0], out=z[rows])
+    z += b2
     head = _sigmoid_values(z)
     squeeze = 1.0 - 2.0 * margin
     data = (margin + squeeze * head).reshape(x.shape[:-1])
@@ -723,25 +740,27 @@ def mlp_scores(x, w0, b0, w1, b1, w2, b2, slope=0.01, margin=0.0):
         gw0, gb0, gw1, gb1, gw2, gb2 = grads
         gx = np.empty_like(rows_x) if x.requires_grad else None
         ones = np.ones(block, dtype=gz.dtype)
-        grad_buf, factor_buf = (
-            [np.empty((block, k), dtype=gz.dtype) for k in widths]
-            for _ in range(2))
-        for rows in row_blocks(n):
-            size = rows.stop - rows.start
+        # one set of block buffers per call, reused by every block: the
+        # rebuild's temporaries turn into the leaky-ReLU factors, and each
+        # layer's back-propagated gradient overwrites its activation once
+        # that has gone into the weight gradient
+        hidden, factor = scratch(dtype, 2)
+        negative, = scratch(bool, 1)
+        for rows, size in _hidden_blocks(rows_x, layers, slope, hidden,
+                                         factor, negative):
             g, one = gz[rows], ones[:size]
-            gw2 += np.dot(hidden[1][rows].T, g)
-            g1 = np.dot(g, w2.data.T, out=grad_buf[1][:size])
-            g1 *= _leaky_factors(negative[1][rows], slope,
-                                 factor_buf[1][:size])
-            gw1 += np.dot(hidden[0][rows].T, g1)
+            h0, h1 = hidden[0][:size], hidden[1][:size]
+            gw2 += np.dot(h1.T, g)
+            g1 = np.dot(g, w2.T, out=h1)
+            g1 *= _leaky_factors(negative[1][:size], slope, factor[1][:size])
+            gw1 += np.dot(h0.T, g1)
             gb1 += np.dot(one, g1)
-            g0 = np.dot(g1, w1.data.T, out=grad_buf[0][:size])
-            g0 *= _leaky_factors(negative[0][rows], slope,
-                                 factor_buf[0][:size])
+            g0 = np.dot(g1, w1.T, out=h0)
+            g0 *= _leaky_factors(negative[0][:size], slope, factor[0][:size])
             gw0 += np.dot(rows_x[rows].T, g0)
             gb0 += np.dot(one, g0)
             if gx is not None:
-                np.dot(g0, w0.data.T, out=gx[rows])
+                np.dot(g0, w0.T, out=gx[rows])
         gb2 += gz.sum()
         return (None if gx is None else gx.reshape(x.shape), *grads)
 

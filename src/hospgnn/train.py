@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict, replace
 
@@ -171,17 +172,25 @@ def save_checkpoint(ckpt: Checkpoint, path):
 
 
 def load_checkpoint(path):
-    with np.load(path) as archive:
-        meta = json.loads(bytes(archive["__meta__"]).decode())
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise DataError(
-                f"{path}: unsupported checkpoint version {meta.get('version')}"
-            )
-        arrays = {
-            key[len("param/"):]: archive[key]
-            for key in archive.files
-            if key.startswith("param/")
-        }
+    """The checkpoint ``save_checkpoint`` wrote to ``path``. A file that
+    is not one (not an ``.npz``, truncated, without ``__meta__`` or with
+    unreadable metadata) raises DataError naming the path."""
+    try:
+        with np.load(path) as archive:
+            meta = json.loads(bytes(archive["__meta__"]).decode())
+            arrays = {
+                key[len("param/"):]: archive[key]
+                for key in archive.files
+                if key.startswith("param/")
+            }
+    except FileNotFoundError:
+        raise
+    except (OSError, EOFError, KeyError, ValueError,
+            zipfile.BadZipFile) as exc:
+        raise DataError(f"{path}: not a readable checkpoint ({exc})") from exc
+    version = meta.get("version") if isinstance(meta, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise DataError(f"{path}: unsupported checkpoint version {version}")
     cfg = TrainConfig.from_dict(meta["config"])
     if meta.get("config_hash") != cfg.fingerprint():
         raise DataError(f"{path}: config hash mismatch, file corrupt or edited")

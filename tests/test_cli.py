@@ -190,6 +190,29 @@ class TestEval:
         assert rc == 2
         assert "parameter layer0.vertex.w" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", ["no_meta", "not_npz", "truncated",
+                                        "meta_not_json"])
+    def test_unreadable_checkpoint_is_data_error(self, tmp_path, data_files,
+                                                 capsys, damage):
+        path = run_train(data_files, tmp_path / "run") / "checkpoint.npz"
+        with np.load(path) as raw:
+            payload = {k: raw[k] for k in raw.files}
+        if damage == "no_meta":
+            del payload["__meta__"]
+            np.savez(path, **payload)
+        elif damage == "meta_not_json":
+            payload["__meta__"] = np.frombuffer(b"{version: 2", dtype=np.uint8)
+            np.savez(path, **payload)
+        elif damage == "truncated":
+            whole = path.read_bytes()
+            path.write_bytes(whole[:len(whole) // 2])
+        else:
+            path.write_text("iteration,loss\n1,0.5\n")
+        rc = main(["eval", "--checkpoint", str(path),
+                   "--data", str(data_files["test"]), "--episodes", "2"])
+        assert rc == 2
+        assert f"{path}: not a readable checkpoint" in capsys.readouterr().err
+
 
 class TestAblate:
     def test_layers_axis_writes_tables(self, tmp_path, data_files):

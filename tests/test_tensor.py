@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hospgnn import tensor as T
+from hospgnn import losses, tensor as T
+from hospgnn.data import (make_rng, sample_episode, stack_episodes,
+                          synth_benchmark)
 from hospgnn.errors import NumericError, ShapeError
+from hospgnn.model import ModelConfig, forward, init_params
 
 
 def t(data, grad=True):
@@ -307,6 +310,153 @@ class TestPairOps:
         assert {x.dtype, s.dtype, full.dtype, a.grad.dtype} == {
             np.dtype(np.float32)}
         assert all(w.grad.dtype == np.float32 for w in weights)
+
+
+def stored_scores(x, w0, b0, w1, b1, w2, b2, slope=0.01, margin=0.0):
+    """``T.mlp_scores`` as it was when a recorded call kept its (N, h)
+    hidden activations and their sign masks for backward: the reference
+    the rebuilding kernel must match bit for bit."""
+    x, w0, b0, w1, b1, w2, b2 = inputs = tuple(
+        T._as_tensor(v) for v in (x, w0, b0, w1, b1, w2, b2))
+    rows_x = x.data.reshape(-1, x.shape[-1])
+    n, dtype = rows_x.shape[0], x.dtype
+    layers = ((w0, b0), (w1, b1))
+    widths = [w.shape[1] for w, _ in layers]
+    block = min(n, T.BLOCK_ROWS)
+    temp = [np.empty((block, k), dtype=dtype) for k in widths]
+    hidden = [np.empty((n, k), dtype=dtype) for k in widths]
+    negative = [np.empty((n, k), dtype=bool) for k in widths]
+    z = np.empty(n, dtype=dtype)
+    for rows in T.row_blocks(n):
+        h, size = rows_x[rows], rows.stop - rows.start
+        for k, (w, b) in enumerate(layers):
+            out = hidden[k][rows]
+            np.dot(h, w.data, out=out)
+            out += b.data
+            np.less(out, 0, out=negative[k][rows])
+            np.maximum(out, np.multiply(out, slope, out=temp[k][:size]),
+                       out=out)
+            h = out
+        np.dot(h, w2.data[:, 0], out=z[rows])
+    z += b2.data
+    head = T._sigmoid_values(z)
+    squeeze = 1.0 - 2.0 * margin
+    data = (margin + squeeze * head).reshape(x.shape[:-1])
+
+    def vjp(g):
+        gz = ((g.reshape(-1) * squeeze) * head * (1.0 - head))[:, None]
+        grads = [np.zeros_like(v.data) for v in inputs[1:]]
+        gw0, gb0, gw1, gb1, gw2, gb2 = grads
+        gx = np.empty_like(rows_x) if x.requires_grad else None
+        ones = np.ones(block, dtype=gz.dtype)
+        grad_buf, factor_buf = (
+            [np.empty((block, k), dtype=gz.dtype) for k in widths]
+            for _ in range(2))
+        for rows in T.row_blocks(n):
+            size = rows.stop - rows.start
+            g, one = gz[rows], ones[:size]
+            gw2 += np.dot(hidden[1][rows].T, g)
+            g1 = np.dot(g, w2.data.T, out=grad_buf[1][:size])
+            g1 *= T._leaky_factors(negative[1][rows], slope,
+                                   factor_buf[1][:size])
+            gw1 += np.dot(hidden[0][rows].T, g1)
+            gb1 += np.dot(one, g1)
+            g0 = np.dot(g1, w1.data.T, out=grad_buf[0][:size])
+            g0 *= T._leaky_factors(negative[0][rows], slope,
+                                   factor_buf[0][:size])
+            gw0 += np.dot(rows_x[rows].T, g0)
+            gb0 += np.dot(one, g0)
+            if gx is not None:
+                np.dot(g0, w0.data.T, out=gx[rows])
+        gb2 += gz.sum()
+        return (None if gx is None else gx.reshape(x.shape), *grads)
+
+    return T._emit(data, inputs, vjp)
+
+
+def scores_and_grads(kernel, x, weights, g, slope, edit=None):
+    """Values of ``kernel`` on (x, weights) and the gradients of
+    sum(out * g) for all seven inputs; ``edit`` runs between the forward
+    and backward."""
+    for p in [x] + weights:
+        p.grad = None
+    with T.Tape() as tape:
+        out = kernel(x, *weights, slope=slope, margin=1e-7)
+        if edit is not None:
+            edit()
+        tape.backward(T.tensor_sum(T.mul(out, t(g, False))))
+    return out.data, [p.grad for p in [x] + weights]
+
+
+class TestRebuiltActivations:
+    """``mlp_scores`` rebuilds its hidden activations in backward; the
+    result must be what keeping them gave, bit for bit."""
+
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 1.0])
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_equals_stored_activation_kernel_bitwise(self, slope, d):
+        # three row blocks, the last one partial
+        n = 2 * T.BLOCK_ROWS + 37
+        rng = np.random.default_rng(6)
+        x = t(rng.normal(size=(n, d)))
+        weights = score_weights(rng, d, 8)
+        g = rng.normal(size=n)
+        got, got_grads = scores_and_grads(T.mlp_scores, x, weights, g, slope)
+        want, want_grads = scores_and_grads(stored_scores, x, weights, g,
+                                            slope)
+        assert np.array_equal(got, want)
+        assert len(got_grads) == 7
+        for a, b in zip(got_grads, want_grads):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_in_place_weight_edit_leaves_gradient(self):
+        n = T.BLOCK_ROWS + 5
+        rng = np.random.default_rng(7)
+        x = t(rng.normal(size=(n, 3)))
+        weights = score_weights(rng, 3, 8)
+        g = rng.normal(size=n)
+        _, want = scores_and_grads(T.mlp_scores, x, weights, g, 0.01)
+
+        def edit():
+            for w in weights:
+                w.data *= -2.0
+
+        _, got = scores_and_grads(T.mlp_scores, x, weights, g, 0.01,
+                                  edit=edit)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("metric_input", ["distance", "absdiff"])
+    @pytest.mark.parametrize("shape,count", [((2, 5, 3), 4), ((5, 1, 15), 1),
+                                             ((8, 5, 15), 1)])
+    def test_model_step_gradients_bitwise(self, monkeypatch, metric_input,
+                                          shape, count):
+        # a stacked group of four M = 16 episodes, then M = 80 and 160
+        ds, _, _ = synth_benchmark(20, 8, 8, per_class=30, dim=16, sep=6.0,
+                                   seed=1)
+        cfg = ModelConfig(feature_dim=16, hidden_dim=32, use_encoder=False,
+                          metric_hidden=32, standardize_vertex=True,
+                          aggregate_self=True, metric_input=metric_input)
+        rng = make_rng(7, 0)
+        episodes = [sample_episode(ds, *shape, rng=rng) for _ in range(count)]
+        episode = stack_episodes(episodes) if count > 1 else episodes[0]
+        params = init_params(cfg, seed=3)
+
+        def step_grads():
+            params.zero_grads()
+            with T.Tape() as tape:
+                graph = forward(episode, params)
+                total = losses.total_loss(losses.episodic_ce(graph, episode),
+                                          losses.manifold_loss(graph), 1e-5)
+                tape.backward(T.tensor_sum(total))
+            return {n: params.t(n).grad.copy() for n in params.names()}
+
+        got = step_grads()
+        monkeypatch.setattr(T, "mlp_scores", stored_scores)
+        want = step_grads()
+        assert got.keys() == want.keys()
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
 
 
 def compare_with_chain(fused, chain, inputs, weights=None):

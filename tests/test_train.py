@@ -408,8 +408,17 @@ class TestEvaluate:
             train(train_pool, val_pool, cfg, workers=workers)
 
 
+# the child's own peak RSS in kB. Not ru_maxrss: Linux carries the
+# spawning process's peak into it across exec, so every child would read
+# at least the test process's own peak
+PRINT_PEAK_KB = """
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status
+               if line.startswith("VmHWM:")))
+"""
+
 MEMORY_CHILD = """
-import resource, sys
+import sys
 from hospgnn import ModelConfig, TrainConfig, synth_benchmark, train
 iterations, batch = int(sys.argv[1]), int(sys.argv[2])
 ds_train, ds_val, _ = synth_benchmark(20, 8, 8, per_class=30, dim=16,
@@ -419,8 +428,30 @@ cfg = TrainConfig(model=ModelConfig(**{model!r}), n_way=5, k_shot=1,
                   total_iterations=iterations, eval_every=iterations,
                   eval_episodes=1, seed=3)
 train(ds_train, ds_val, cfg)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-"""
+""" + PRINT_PEAK_KB
+
+
+# one taped step (forward, losses, backward) of a 20-way 1-shot 15-query
+# episode, M = 320
+TAPED_STEP_CHILD = """
+from hospgnn import ModelConfig, losses, synth_benchmark, tensor as T
+from hospgnn.data import make_rng, sample_episode
+from hospgnn.model import forward, init_params
+ds_train, _, _ = synth_benchmark(20, 8, 8, per_class=30, dim=16, sep=6.0,
+                                 seed=1)
+params = init_params(ModelConfig(**{model!r}), seed=3)
+episode = sample_episode(ds_train, 20, 1, 15, rng=make_rng(3, 0))
+with T.Tape() as tape:
+    graph = forward(episode, params)
+    total = losses.total_loss(losses.episodic_ce(graph, episode),
+                              losses.manifold_loss(graph), 1e-5)
+    tape.backward(T.tensor_sum(total))
+""" + PRINT_PEAK_KB
+
+# peak RSS bound of that step: it read 303 MB while the metric nets kept
+# their (M^2, h) hidden activations for backward, 135 MB since backward
+# rebuilds them block by block (2 cores, BLAS on one thread)
+TAPED_M320_PEAK_MB = 200.0
 
 
 def test_peak_memory_is_one_groups_activations():
@@ -433,12 +464,18 @@ def test_peak_memory_is_one_groups_activations():
     runs = [subprocess.Popen([sys.executable, "-c", code, str(it), str(b)],
                              stdout=subprocess.PIPE, env=env, text=True)
             for it, b in ((5, 2), (50, 2), (10, 8))]
+    runs.append(subprocess.Popen(
+        [sys.executable, "-c", TAPED_STEP_CHILD.format(model=C5_MODEL)],
+        stdout=subprocess.PIPE, env=env, text=True))
     peaks_mb = []
     for proc in runs:
         out, _ = proc.communicate(timeout=120)
         assert proc.returncode == 0
         peaks_mb.append(int(out.split()[-1]) / 1024.0)
+    peaks_mb, m320_mb = peaks_mb[:-1], peaks_mb[-1]
     assert max(peaks_mb) - min(peaks_mb) <= 15.0, peaks_mb
+    # a taped M = 320 step holds no (M^2, h) activations of the metric nets
+    assert m320_mb <= TAPED_M320_PEAK_MB, m320_mb
 
 
 class TestCheckpoint:
