@@ -27,6 +27,7 @@ from .model import FIELD_CHOICES, ModelConfig
 from .train import (
     ABLATION_AXES,
     TrainConfig,
+    apply_axis,
     evaluate,
     evaluate_test,
     load_checkpoint,
@@ -180,10 +181,11 @@ def load_config_defaults(path):
         return dict(pairs)
 
     try:
-        raw = json.loads(Path(path).read_text(), object_pairs_hook=unique_keys)
-    except FileNotFoundError:
-        raise DataError(f"config file {path} not found") from None
-    except json.JSONDecodeError as exc:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"),
+                         object_pairs_hook=unique_keys)
+    except OSError as exc:
+        raise DataError(f"config file {path}: {exc.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
@@ -453,10 +455,8 @@ def cmd_ablate(args):
             values = [0.0, cfg.structure_weight]
     if values is None:
         values = list(DEFAULT_AXIS_VALUES[axis])
-    if axis == "layers":
-        values = [int(v) for v in values]
-    elif axis in ("structure_weight", "label_fraction"):
-        values = [float(v) for v in values]
+    # a bad value is refused before the out dir exists
+    labels = [apply_axis(cfg, axis, value)[0] for value in values]
 
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -467,7 +467,7 @@ def cmd_ablate(args):
         {"train": args.train_path, "val": args.val_path,
          "test": args.test_path},
         {"table": table_path, "csv": csv_path},
-        extra={"axis": args.axis, "values": [str(v) for v in values]},
+        extra={"axis": args.axis, "values": labels},
     )
 
     def progress(row):

@@ -239,8 +239,11 @@ def synth_clusters(n_classes, per_class, dim, sep, noise_sigma=1.0, seed=0,
 
 def load_dataset(path, split):
     """Parse a HOSPEMB v1 text file into a dataset."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: not a readable text file ({exc})") from None
 
     if not lines:
         raise FormatError(f"{path}: empty file, no header line")

@@ -30,18 +30,9 @@ _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 _tls = threading.local()
 
 
-def _tape_stack():
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = []
-        _tls.stack = stack
-    return stack
-
-
 def active_tape():
-    """The innermost active tape in this thread, or None."""
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    """The tape recording in this thread, or None."""
+    return getattr(_tls, "tape", None)
 
 
 class Tensor:
@@ -94,14 +85,13 @@ class Tape:
         self._ref = weakref.ref(self)
 
     def __enter__(self):
-        _tape_stack().append(self)
+        if active_tape() is not None:
+            raise RuntimeError("a tape is already recording in this thread")
+        _tls.tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        stack = _tape_stack()
-        if not stack or stack[-1] is not self:
-            raise RuntimeError("tape stack corrupted (exited out of order)")
-        stack.pop()
+        _tls.tape = None
         return False
 
     def __len__(self):
@@ -165,17 +155,12 @@ def _coerce_pair(a, b):
     return _as_tensor(a), _as_tensor(b)
 
 
-def _recording_tape(inputs):
-    """The tape an op on these inputs records onto, or None."""
-    tape = active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
-        return tape
-    return None
-
-
 def _emit(data, inputs, vjp):
-    """Wrap an op result, recording the adjoint when a tape wants it."""
-    tape = _recording_tape(inputs)
+    """Wrap an op result, recording the adjoint when a tape is recording
+    in this thread and some input requires gradients."""
+    tape = active_tape()
+    if tape is not None and not any(t.requires_grad for t in inputs):
+        tape = None
     out = Tensor(data, requires_grad=tape is not None)
     if tape is not None:
         out._tape = tape._ref
@@ -206,8 +191,6 @@ def _unbroadcast(g, shape):
     for ax, s in enumerate(shape):
         if s == 1 and g.shape[ax] != 1:
             g = _sum_kept(g, ax)
-    if g.shape != shape:
-        g = g.reshape(shape)
     return g
 
 
@@ -286,43 +269,33 @@ def _axis_tuple(axis, ndim):
     return tuple(ax % ndim for ax in axis)
 
 
-def _expand_like(g, shape, axes, keepdims):
+def _reduce(a, axis, keepdims, mean):
+    """The sum of ``a`` over ``axis`` (every axis when None), or with
+    ``mean`` that sum over the count of the values summed, as one node
+    that reduces axis by axis through ``_sum_kept``. A sum divides by a
+    count of 1, which leaves every value as it is."""
+    a = _as_tensor(a)
+    axes = _axis_tuple(axis, a.ndim)
+    shape = a.shape
+    count = math.prod(shape[ax] for ax in axes) if mean else 1
+    data = functools.reduce(_sum_kept, axes, a.data)
+    kept = data.shape
     if not keepdims:
-        for ax in sorted(axes):
-            g = np.expand_dims(g, ax)
-    return np.broadcast_to(g, shape)
+        data = data.squeeze(axes)
+    data = data / count
+
+    def vjp(g):
+        return (np.broadcast_to(g.reshape(kept), shape) / count,)
+
+    return _emit(data, (a,), vjp)
 
 
 def tensor_sum(a, axis=None, keepdims=False):
-    a = _as_tensor(a)
-    axes = _axis_tuple(axis, a.ndim)
-    if len(axes) == 1:
-        data = _sum_kept(a.data, axes[0])
-        if not keepdims:
-            data = data.squeeze(axes[0])
-    else:
-        data = a.data.sum(axis=axes if axes else None, keepdims=keepdims)
-    shape = a.shape
-
-    def vjp(g):
-        return (_expand_like(g, shape, axes, keepdims).copy(),)
-
-    return _emit(data, (a,), vjp)
+    return _reduce(a, axis, keepdims, mean=False)
 
 
 def tensor_mean(a, axis=None, keepdims=False):
-    a = _as_tensor(a)
-    axes = _axis_tuple(axis, a.ndim)
-    data = a.data.mean(axis=axes if axes else None, keepdims=keepdims)
-    shape = a.shape
-    count = 1
-    for ax in axes:
-        count *= shape[ax]
-
-    def vjp(g):
-        return (_expand_like(g, shape, axes, keepdims) / count,)
-
-    return _emit(data, (a,), vjp)
+    return _reduce(a, axis, keepdims, mean=True)
 
 
 def reshape(a, shape):
@@ -484,18 +457,27 @@ def sigmoid(a):
 
 
 def leaky_relu(a, slope=0.01):
+    """``max(a, slope a)``, the leaky ReLU for 0 <= slope <= 1."""
+    if not 0.0 <= slope <= 1.0:
+        raise ValueError(f"leaky slope must be in [0, 1], got {slope}")
     a = _as_tensor(a)
     x = a.data
-    data = np.where(x >= 0, x, slope * x)
+    data = np.maximum(x, slope * x)
 
     def vjp(g):
-        return (np.where(x >= 0, g, slope * g),)
+        return (g * _leaky_factors(x < 0, slope, np.empty_like(x)),)
 
     return _emit(data, (a,), vjp)
 
 
 PairIndex = collections.namedtuple("PairIndex",
                                    "rows cols upper lower diag spread")
+
+
+def pair_rows(m):
+    """The rows the pair ops emit for m vertices: the P = m(m - 1)/2
+    unordered pairs, then one for the diagonal."""
+    return m * (m - 1) // 2 + 1
 
 
 @functools.lru_cache(maxsize=64)
@@ -533,7 +515,7 @@ def pair_absdiff(a):
     pairs = pair_index(m)
     diff = np.take(a.data, pairs.rows, axis=-2)
     diff -= np.take(a.data, pairs.cols, axis=-2)
-    data = np.zeros(lead + (pairs.upper.size + 1, d), dtype=a.dtype)
+    data = np.zeros(lead + (pair_rows(m), d), dtype=a.dtype)
     np.abs(diff, out=data[..., :-1, :])
     sign = np.sign(diff)
 
@@ -579,20 +561,20 @@ def pair_distances(a):
     lead, (m, d) = a.shape[:-2], a.shape[-2:]
     count = math.prod(lead)
     pairs = pair_index(m)
-    pair_rows, pair_cols = _stacked_pairs(m, count)
+    left, right = _stacked_pairs(m, count)
     f = a.data.reshape(count, m, d)
     flat = f.reshape(count * m, d)
     # the (0, 0) pair closing each episode's rows is the exact zero of
     # the diagonal: a row minus itself
-    dist = np.empty(pair_rows.size, dtype=f.dtype)
+    dist = np.empty(left.size, dtype=f.dtype)
     block = min(dist.size, BLOCK_ROWS)
     diff, other = np.empty((2, block, d), dtype=f.dtype)
     # mode="clip" because the indices are valid and "raise" would copy
     # each block through a temporary
     for rows in row_blocks(dist.size):
         size = rows.stop - rows.start
-        np.take(flat, pair_rows[rows], axis=0, out=diff[:size], mode="clip")
-        np.take(flat, pair_cols[rows], axis=0, out=other[:size], mode="clip")
+        np.take(flat, left[rows], axis=0, out=diff[:size], mode="clip")
+        np.take(flat, right[rows], axis=0, out=other[:size], mode="clip")
         np.subtract(diff[:size], other[:size], out=diff[:size])
         np.multiply(diff[:size], diff[:size], out=diff[:size])
         np.sum(diff[:size], axis=1, out=dist[rows])
@@ -606,7 +588,7 @@ def pair_distances(a):
         grad = c.sum(axis=-1)[..., None] * f - c @ f
         return (grad.reshape(a.shape),)
 
-    return _emit(dist.reshape(lead + (pairs.rows.size + 1, 1)), (a,), vjp)
+    return _emit(dist.reshape(lead + (pair_rows(m), 1)), (a,), vjp)
 
 
 def symmetric_from_pairs(s, m):
@@ -618,7 +600,7 @@ def symmetric_from_pairs(s, m):
     Backward folds g + g^T onto the pairs and the trace onto the last."""
     s = _as_tensor(s)
     pairs = pair_index(m)
-    n = pairs.upper.size + 1
+    n = pair_rows(m)
     if s.shape[-1:] == (n,):
         lead = s.shape[:-1]
     elif s.shape[-2:] == (n, 1):

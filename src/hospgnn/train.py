@@ -173,10 +173,12 @@ def save_checkpoint(ckpt: Checkpoint, path):
 
 def load_checkpoint(path):
     """The checkpoint ``save_checkpoint`` wrote to ``path``. A file that
-    is not one (not an ``.npz``, truncated, without ``__meta__`` or with
-    unreadable metadata) raises DataError naming the path."""
+    is not one (not an ``.npz``, a ``.npy`` array, truncated, without
+    ``__meta__``, or with metadata that is unreadable or lacks a field)
+    raises DataError naming the path."""
     try:
-        with np.load(path) as archive:
+        # opened here: numpy leaves its own handle open when it rejects a file
+        with open(path, "rb") as fh, np.load(fh) as archive:
             meta = json.loads(bytes(archive["__meta__"]).decode())
             arrays = {
                 key[len("param/"):]: archive[key]
@@ -185,21 +187,21 @@ def load_checkpoint(path):
             }
     except FileNotFoundError:
         raise
-    except (OSError, EOFError, KeyError, ValueError,
+    except (OSError, EOFError, KeyError, TypeError, ValueError,
             zipfile.BadZipFile) as exc:
         raise DataError(f"{path}: not a readable checkpoint ({exc})") from exc
     version = meta.get("version") if isinstance(meta, dict) else None
     if version != CHECKPOINT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
-    cfg = TrainConfig.from_dict(meta["config"])
-    if meta.get("config_hash") != cfg.fingerprint():
+    try:
+        ckpt = Checkpoint(arrays=arrays, iteration=meta["iteration"],
+                          val_accuracy=meta["val_accuracy"],
+                          config=TrainConfig.from_dict(meta["config"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed checkpoint metadata ({exc!r})") from exc
+    if meta.get("config_hash") != ckpt.config.fingerprint():
         raise DataError(f"{path}: config hash mismatch, file corrupt or edited")
-    return Checkpoint(
-        arrays=arrays,
-        iteration=meta["iteration"],
-        val_accuracy=meta["val_accuracy"],
-        config=cfg,
-    )
+    return ckpt
 
 
 def _require_workers(workers):
@@ -210,13 +212,12 @@ def _require_workers(workers):
 def episode_groups(episodes):
     """Same-shape episodes, in order, stacked (``stack_episodes``) into
     groups that each run as one forward pass: as many episodes as fit
-    their P + 1 pair rows (P = M(M - 1)/2) into one ``T.mlp_scores`` row
-    block, and at least one. So a group's activations stay about one
-    block's, and large episodes run one at a time. A group of one is the
-    episode itself, without the leading axis, so it runs exactly the
-    unbatched arithmetic."""
-    m = episodes[0].m
-    size = max(1, T.BLOCK_ROWS // (m * (m - 1) // 2 + 1))
+    their ``T.pair_rows`` into one ``T.mlp_scores`` row block, and at
+    least one. So a group's activations stay about one block's, and
+    large episodes run one at a time. A group of one is the episode
+    itself, without the leading axis, so it runs exactly the unbatched
+    arithmetic."""
+    size = max(1, T.BLOCK_ROWS // T.pair_rows(episodes[0].m))
     chunks = [episodes[i:i + size] for i in range(0, len(episodes), size)]
     return [stack_episodes(c) if len(c) > 1 else c[0] for c in chunks]
 
@@ -347,18 +348,22 @@ def train(ds_train, ds_val, cfg: TrainConfig, workers=1, log=None):
 ABLATION_AXES = ("variant", "layers", "structure_weight", "label_fraction")
 
 
-def _apply_axis(cfg: TrainConfig, axis, value):
+def apply_axis(cfg: TrainConfig, axis, value):
+    """The value as an ablation row spells it, and the config of the run
+    that sets ``axis`` to it; a value the axis cannot take is a ConfigError."""
+    if axis not in ABLATION_AXES:
+        raise ConfigError(f"unknown ablation axis {axis!r}, have {ABLATION_AXES}")
+    try:
+        value = {"variant": str, "layers": int}.get(axis, float)(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"bad {axis} value {value!r}") from None
     if axis == "variant":
-        return replace(
-            cfg, model=replace(cfg.model, channels=parse_variant(value))
-        )
-    if axis == "layers":
-        return replace(cfg, model=replace(cfg.model, layers=int(value)))
-    if axis == "structure_weight":
-        return replace(cfg, structure_weight=float(value))
-    if axis == "label_fraction":
-        return replace(cfg, label_fraction=float(value))
-    raise ConfigError(f"unknown ablation axis {axis!r}, have {ABLATION_AXES}")
+        cfg = replace(cfg, model=replace(cfg.model, channels=parse_variant(value)))
+    elif axis == "layers":
+        cfg = replace(cfg, model=replace(cfg.model, layers=value))
+    else:
+        cfg = replace(cfg, **{axis: value})
+    return str(value), cfg
 
 
 @dataclass
@@ -375,17 +380,18 @@ def run_ablation(ds_train, ds_val, ds_test, base_cfg, axis, values,
     """Train and score one configuration per value of the chosen axis.
 
     Every run shares the base seed, so rows differ only in the swept
-    setting. Scores come from the test split using the best validation
-    checkpoint of each run.
+    setting. Every config is built before the first run, so a bad value
+    fails before any training. Scores come from the test split using the
+    best validation checkpoint of each run.
     """
+    runs = [apply_axis(base_cfg, axis, value) for value in values]
     rows = []
-    for value in values:
-        cfg = _apply_axis(base_cfg, axis, value)
+    for value, cfg in runs:
         best, _ = train(ds_train, ds_val, cfg, workers=workers)
         acc, ci = evaluate_test(ds_test, best, cfg, workers)
         row = AblationRow(
             axis=axis,
-            value=str(value),
+            value=value,
             accuracy=acc,
             ci=ci,
             best_iteration=best.iteration,

@@ -191,7 +191,7 @@ class TestEval:
         assert "parameter layer0.vertex.w" in capsys.readouterr().err
 
     @pytest.mark.parametrize("damage", ["no_meta", "not_npz", "truncated",
-                                        "meta_not_json"])
+                                        "meta_not_json", "npy_array"])
     def test_unreadable_checkpoint_is_data_error(self, tmp_path, data_files,
                                                  capsys, damage):
         path = run_train(data_files, tmp_path / "run") / "checkpoint.npz"
@@ -206,12 +206,51 @@ class TestEval:
         elif damage == "truncated":
             whole = path.read_bytes()
             path.write_bytes(whole[:len(whole) // 2])
+        elif damage == "npy_array":
+            with open(path, "wb") as fh:
+                np.save(fh, np.zeros(3))
         else:
             path.write_text("iteration,loss\n1,0.5\n")
         rc = main(["eval", "--checkpoint", str(path),
                    "--data", str(data_files["test"]), "--episodes", "2"])
         assert rc == 2
         assert f"{path}: not a readable checkpoint" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("damage", ["directory", "not_utf8"])
+    def test_unreadable_data_is_data_error(self, tmp_path, data_files,
+                                           capsys, damage):
+        out = run_train(data_files, tmp_path / "run")
+        data = tmp_path / "data.emb"
+        if damage == "directory":
+            data.mkdir()
+        else:
+            data.write_bytes(b"HOSPEMB v1 dim=8 count=1\n\xff\xfe 1.0\n")
+        rc = main(["eval", "--checkpoint", str(out / "checkpoint.npz"),
+                   "--data", str(data), "--episodes", "2"])
+        assert rc == 2
+        assert f"{data}: not a readable text file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["iteration", "val_accuracy", "config",
+                                        "unknown_config_key"])
+    def test_checkpoint_meta_without_a_field_is_data_error(
+            self, tmp_path, data_files, capsys, damage):
+        path = run_train(data_files, tmp_path / "run") / "checkpoint.npz"
+        with np.load(path) as raw:
+            payload = {k: raw[k] for k in raw.files}
+        meta = json.loads(bytes(payload["__meta__"]).decode())
+        if damage == "unknown_config_key":
+            meta["config"]["warmup"] = 10
+        else:
+            del meta[damage]
+        payload["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
+                                            dtype=np.uint8)
+        np.savez(path, **payload)
+        rc = main(["eval", "--checkpoint", str(path),
+                   "--data", str(data_files["test"]), "--episodes", "2"])
+        assert rc == 2
+        assert (f"{path}: malformed checkpoint metadata"
+                in capsys.readouterr().err)
 
 
 class TestAblate:
@@ -245,6 +284,27 @@ class TestAblate:
         assert rc == 2
         assert "dimension mismatch" in capsys.readouterr().err
         assert not out.exists()   # refused before any training
+
+    @pytest.mark.parametrize("axis, values", [
+        ("layers", ["abc"]),
+        ("structure_weight", ["x"]),
+        ("layers", ["2", "0"]),
+        ("variant", ["s", "q"]),
+        ("label_fraction", ["0.5", "1.5"]),
+    ])
+    def test_bad_value_is_refused_before_any_run(self, tmp_path, data_files,
+                                                 capsys, axis, values):
+        out = tmp_path / "ab"
+        rc = main(["ablate", "--train", str(data_files["train"]),
+                   "--val", str(data_files["val"]),
+                   "--test", str(data_files["test"]),
+                   "--axis", axis, "--values", *values,
+                   "--out-dir", str(out), *FAST_MODEL, *FAST_TRAIN])
+        assert rc == 1
+        shown = capsys.readouterr()
+        assert "config error" in shown.err
+        assert f"{axis}=" not in shown.out   # no run reported
+        assert not out.exists()
 
     def test_unknown_axis_is_usage_error(self, tmp_path, data_files):
         rc = main(["ablate",
@@ -327,6 +387,26 @@ class TestConfigFile:
                    "--val", str(data_files["val"]),
                    "--out-dir", str(tmp_path / "x")])
         assert rc == 2
+
+    def test_config_directory_is_data_error(self, tmp_path, data_files,
+                                            capsys):
+        rc = main(["train", "--config", str(tmp_path),
+                   "--train", str(data_files["train"]),
+                   "--val", str(data_files["val"]),
+                   "--out-dir", str(tmp_path / "x")])
+        assert rc == 2
+        assert f"config file {tmp_path}" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_usage_error(self, tmp_path, data_files,
+                                            capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_bytes(b'{"layers": "\xff"}')
+        rc = main(["train", "--config", str(cfg_path),
+                   "--train", str(data_files["train"]),
+                   "--val", str(data_files["val"]),
+                   "--out-dir", str(tmp_path / "x")])
+        assert rc == 1
+        assert f"config file {cfg_path}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("content, key", [
         ({"aggregate_self": "no"}, "aggregate_self"),

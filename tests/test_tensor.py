@@ -1,4 +1,5 @@
 import gc
+import threading
 import weakref
 
 import numpy as np
@@ -73,6 +74,22 @@ class TestForwardValues:
     def test_leaky_relu_definition(self):
         out = T.leaky_relu(t([-1.0, 2.0]), 0.01).data
         assert np.allclose(out, [-0.01, 2.0])
+        # max(x, slope x) and its factors are the np.where form bit for
+        # bit, both ways, for every slope in [0, 1], -0.0 included
+        x = np.array([-2.5, -1e-300, -0.0, 0.0, 1e-300, 3.0])
+        g = np.random.default_rng(15).normal(size=x.shape)
+        for slope in (0.0, 0.01, 1.0):
+            xt = t(x)
+            with T.Tape() as tape:
+                out = T.leaky_relu(xt, slope)
+                tape.backward(T.tensor_sum(T.mul(out, t(g, False))))
+            want = np.where(x >= 0, x, slope * x)
+            assert out.data.tobytes() == want.tobytes()
+            want = np.where(x >= 0, g, slope * g)
+            assert xt.grad.tobytes() == want.tobytes()
+        for slope in (-0.01, 1.01):
+            with pytest.raises(ValueError, match="slope"):
+                T.leaky_relu(t(x), slope)
 
     def test_concat_feature_axis(self):
         a, b = t(np.ones((3, 2))), t(np.zeros((3, 4)))
@@ -166,6 +183,26 @@ class TestBackward:
         x = t(np.ones(3))
         y = T.mul(x, x)
         assert y._tape is None and y.requires_grad is False
+
+    def test_one_tape_records_per_thread(self):
+        x = t(np.ones(3))
+        seen = []
+
+        def worker():
+            seen.append((T.active_tape(), T.mul(x, x).requires_grad))
+
+        with T.Tape() as tape:
+            with pytest.raises(RuntimeError, match="already recording"):
+                with T.Tape():
+                    pass
+            assert T.active_tape() is tape
+            thread = threading.Thread(target=worker)
+            thread.start()
+            thread.join()
+            tape.backward(T.tensor_sum(T.mul(x, x)))
+        assert seen == [(None, False)]
+        assert T.active_tape() is None
+        assert np.array_equal(x.grad, 2 * x.data)
 
     def test_finished_tape_freed_without_cycle_collector(self):
         # outputs refer to their tape weakly, so dropping the tape and
@@ -683,17 +720,27 @@ def test_every_primitive_passes_grad_check(name, fn):
     assert err < 1e-4, f"{name}: {err}"
 
 
-@pytest.mark.parametrize("axis", [1, 2])
-def test_channel_last_sums_match_numpy(axis):
-    # (M, M, C) sums over axis 1 or 2 run as products with ones
-    x = t(np.random.default_rng(12).normal(size=(5, 5, 3)))
-    got = T.tensor_sum(x, axis=axis, keepdims=True).data
-    assert np.allclose(got, x.data.sum(axis=axis, keepdims=True),
-                       rtol=0, atol=1e-14)
-    assert T.tensor_sum(x, axis=axis).shape == got.squeeze(axis).shape
+@pytest.mark.parametrize("shape, axis, reduce", [
+    ((5, 5, 3), 1, "sum"),
+    ((5, 5, 3), 2, "sum"),
+    ((5, 5, 3), (0, 1), "sum"),
+    ((5, 5, 3), (0, 1), "mean"),
+    ((2, 5, 5, 3), (-3, -2), "sum"),
+    ((2, 5, 5, 3), (-3, -2), "mean"),
+], ids=["1", "2", "pairs-sum", "pairs-mean", "stacked-pairs-sum",
+        "stacked-pairs-mean"])
+def test_channel_last_sums_match_numpy(shape, axis, reduce):
+    # (..., M, M, C) sums and means over axis 1 or 2, or over both pair
+    # axes, run as products with ones
+    op = {"sum": T.tensor_sum, "mean": T.tensor_mean}[reduce]
+    x = t(np.random.default_rng(12).normal(size=shape))
+    got = op(x, axis=axis, keepdims=True).data
+    want = getattr(x.data, reduce)(axis=axis, keepdims=True)
+    assert np.allclose(got, want, rtol=0, atol=1e-14)
+    assert op(x, axis=axis).shape == got.squeeze(axis).shape
     scale = t(np.random.default_rng(13).normal(size=got.shape), grad=False)
     err = T.grad_check(lambda: T.tensor_sum(T.div(x, T.add(T.mul(
-        T.tensor_sum(x, axis=axis, keepdims=True), scale), 10.0))), [x])
+        op(x, axis=axis, keepdims=True), scale), 10.0))), [x])
     assert err < 1e-6
 
 

@@ -1,7 +1,9 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -577,6 +579,24 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+    def test_rejected_archive_leaves_no_file_open(self, tmp_path):
+        cfg = small_cfg()
+        ck = Checkpoint(
+            arrays=init_params(cfg.model, seed=0).copy_arrays(),
+            iteration=1, val_accuracy=0.5, config=cfg,
+        )
+        path = tmp_path / "ck.npz"
+        save_checkpoint(ck, path)
+        whole = path.read_bytes()
+        path.write_bytes(whole[:len(whole) // 2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DataError, match="not a readable checkpoint"):
+                load_checkpoint(path)
+            gc.collect()
+        assert [w for w in caught if w.category is ResourceWarning] == []
+
+
 class TestAblation:
     def test_rows_follow_requested_values(self, train_pool, val_pool):
         test_pool = synth_clusters(4, 12, 8, sep=6.0, seed=73, split="test")
@@ -586,6 +606,23 @@ class TestAblation:
         assert [r.value for r in rows] == ["1", "2"]
         assert all(r.axis == "layers" for r in rows)
         assert all(0.0 <= r.accuracy <= 1.0 for r in rows)
+
+    @pytest.mark.parametrize("axis, values", [
+        ("layers", [2, "abc"]),
+        ("layers", [2, 0]),
+        ("variant", ["s", "q"]),
+        ("structure_weight", [1e-5, None]),
+        ("label_fraction", [0.5, 1.5]),
+    ])
+    def test_every_value_checked_before_any_run(self, monkeypatch, train_pool,
+                                                val_pool, axis, values):
+        runs = []
+        monkeypatch.setattr(sys.modules["hospgnn.train"], "train",
+                            lambda *args, **kw: runs.append(args))
+        with pytest.raises(ConfigError):
+            run_ablation(train_pool, val_pool, train_pool, small_cfg(),
+                         axis, values)
+        assert runs == []
 
     def test_unknown_axis_rejected(self, train_pool, val_pool):
         cfg = small_cfg()
