@@ -314,12 +314,22 @@ def write_csv(path, manifest_hash, header, rows):
                           for v in row] for row in rows)
 
 
+def _make_out_dir(path):
+    """Create the output directory ``path`` and its parents, keeping one
+    that exists; a data error naming the path when it, or a parent,
+    cannot be a directory (say, an existing file)."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"output directory {path}: {exc.strerror}") from None
+
+
 def cmd_synth(args):
     ds = synth_clusters(
         args.classes, args.per_class, args.dim,
         sep=args.sep, noise_sigma=args.noise, seed=args.seed,
     )
-    args.out.parent.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(args.out.parent)
     write_dataset(ds, args.out)
     print(
         f"wrote {args.out}: {len(ds)} items, {args.classes} classes, "
@@ -346,7 +356,7 @@ def cmd_train(args):
     ds_train, ds_val, ds_test, cfg = _load_splits(args)
 
     out = args.out_dir
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out)
     ckpt_path = out / "checkpoint.npz"
     metrics_path = out / "metrics.csv"
     summary_path = out / "summary.json"
@@ -414,7 +424,7 @@ def cmd_eval(args):
             {"report": args.out},
             extra={"episodes": args.episodes, "eval_seed": args.seed},
         )
-        args.out.parent.mkdir(parents=True, exist_ok=True)
+        _make_out_dir(args.out.parent)
         args.out.write_text(json.dumps({
             "accuracy": acc,
             "ci": ci,
@@ -459,7 +469,7 @@ def cmd_ablate(args):
     labels = [apply_axis(cfg, axis, value)[0] for value in values]
 
     out = args.out_dir
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out)
     table_path = out / f"{args.axis}_table.txt"
     csv_path = out / f"{args.axis}_table.csv"
     manifest = build_manifest(

@@ -108,7 +108,7 @@ def per_layer_manifold(graph):
     pairs.
     """
     return [
-        T.tensor_mean(T.mul(stack, edges), axis=(-3, -2))
+        T.pair_mean_product(stack, edges)
         for stack, edges in zip(graph.affinities, graph.edges)
     ]
 

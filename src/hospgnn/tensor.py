@@ -39,8 +39,11 @@ class Tensor:
     """A dense array plus gradient bookkeeping.
 
     ``grad`` is populated (same shape as ``data``) by ``backward`` for
-    every tensor with ``requires_grad`` that took part in the recorded
-    computation; it accumulates across backward passes until reset.
+    every leaf, a tensor with ``requires_grad`` that the recorded
+    computation read but no recorded node produced; it accumulates
+    across backward passes until reset. A node output's gradient lives
+    only while backward replays: it is taken off the output when its
+    node's adjoint runs, so the output's ``grad`` is None afterwards.
     ``_tape`` is a weak reference to the recording tape: the tape holds
     its outputs, so a strong back-reference would make every taped
     computation a cycle that only the cyclic collector frees.
@@ -78,7 +81,8 @@ class Tensor:
 
 
 class Tape:
-    """Ordered record of primitive operations for one backward pass."""
+    """Ordered record of primitive operations, which ``backward``
+    replays in reverse."""
 
     def __init__(self):
         self._nodes = []
@@ -98,7 +102,16 @@ class Tape:
         return len(self._nodes)
 
     def backward(self, loss):
-        """Populate grads of every participating tensor from a scalar loss."""
+        """Add the gradients of a scalar loss to the ``grad`` of every
+        leaf the recorded computation read.
+
+        Each node output's gradient is released as soon as its adjoint
+        has run, so backward holds only the gradients still to be
+        propagated, and a second replay of the tape starts from nothing
+        left by the first: it adds exactly one more gradient to each
+        leaf. Node outputs end with ``grad`` None; a leaf off the path to
+        the loss ends with a zero one.
+        """
         if not isinstance(loss, Tensor):
             raise TypeError("loss must be a Tensor")
         if loss.shape != ():
@@ -107,17 +120,16 @@ class Tape:
             raise ValueError("loss was not recorded on this tape")
         loss.grad = np.ones((), dtype=loss.data.dtype)
         for out, inputs, vjp in reversed(self._nodes):
-            g = out.grad
+            g, out.grad = out.grad, None
             if g is None:
                 continue
             for t, gt in zip(inputs, vjp(g)):
                 if gt is not None and t.requires_grad:
                     t.grad = _accumulate(t.grad, gt, t.data)
-        # every recorded requires_grad tensor ends with a defined grad,
-        # including ones off the path to the loss
-        for out, inputs, _ in self._nodes:
-            for t in (out, *inputs):
-                if t.requires_grad and t.grad is None:
+        for _, inputs, _ in self._nodes:
+            for t in inputs:
+                if (t.requires_grad and t.grad is None
+                        and t._tape is not self._ref):
                     t.grad = np.zeros_like(t.data)
 
 
@@ -269,20 +281,26 @@ def _axis_tuple(axis, ndim):
     return tuple(ax % ndim for ax in axis)
 
 
+def _reduced(x, axes, keepdims, count):
+    """The sum of the array ``x`` over ``axes``, reduced axis by axis
+    through ``_sum_kept``, over ``count``; and the shape of the sum with
+    every axis kept."""
+    data = functools.reduce(_sum_kept, axes, x)
+    kept = data.shape
+    if not keepdims:
+        data = data.squeeze(axes)
+    return data / count, kept
+
+
 def _reduce(a, axis, keepdims, mean):
     """The sum of ``a`` over ``axis`` (every axis when None), or with
-    ``mean`` that sum over the count of the values summed, as one node
-    that reduces axis by axis through ``_sum_kept``. A sum divides by a
-    count of 1, which leaves every value as it is."""
+    ``mean`` that sum over the count of the values summed, as one node.
+    A sum divides by a count of 1, which leaves every value as it is."""
     a = _as_tensor(a)
     axes = _axis_tuple(axis, a.ndim)
     shape = a.shape
     count = math.prod(shape[ax] for ax in axes) if mean else 1
-    data = functools.reduce(_sum_kept, axes, a.data)
-    kept = data.shape
-    if not keepdims:
-        data = data.squeeze(axes)
-    data = data / count
+    data, kept = _reduced(a.data, axes, keepdims, count)
 
     def vjp(g):
         return (np.broadcast_to(g.reshape(kept), shape) / count,)
@@ -296,6 +314,30 @@ def tensor_sum(a, axis=None, keepdims=False):
 
 def tensor_mean(a, axis=None, keepdims=False):
     return _reduce(a, axis, keepdims, mean=True)
+
+
+def pair_mean_product(a, b):
+    """The mean of ``a * b`` over the pair axes of (..., M, M, C)
+    operands, (..., C), as one node: ``tensor_mean(mul(a, b), axis=(-3,
+    -2))`` bit for bit, values and gradients. The product lives only
+    while the forward reduces it; backward multiplies the other operand
+    by the (..., 1, 1, C) output gradient over the count."""
+    a, b = _coerce_pair(a, b)
+    ad, bd = a.data, b.data
+    product = ad * bd
+    if product.ndim < 3:
+        raise ShapeError(f"pair_mean_product expects (..., M, M, C) "
+                         f"operands, got {a.shape} and {b.shape}")
+    axes = (product.ndim - 3, product.ndim - 2)
+    count = product.shape[-3] * product.shape[-2]
+    data, kept = _reduced(product, axes, False, count)
+
+    def vjp(g):
+        scaled = g.reshape(kept) / count
+        return (_unbroadcast(scaled * bd, a.shape) if a.requires_grad else None,
+                _unbroadcast(scaled * ad, b.shape) if b.requires_grad else None)
+
+    return _emit(data, (a, b), vjp)
 
 
 def reshape(a, shape):
@@ -841,12 +883,21 @@ def edge_rescale(affinity, edges, channels, eps):
     return _emit(data, (a, e), vjp)
 
 
+def _channel_planes(x):
+    """The (..., C, M, M) planes of an (..., M, M, C) array, one per
+    channel, each contiguous for BLAS."""
+    return np.ascontiguousarray(np.moveaxis(x, -1, -3))
+
+
 def pool_channels(weights, sources, tail=None):
     """``concat_c(weights[..., c] @ sources[c])`` along the feature axis,
     then ``tail`` as it is, as one node: each vertex pools every source
     with its own channel's (M, M) weights. ``weights`` is (..., M, M, C),
     ``sources`` holds C (..., M, d_c) tensors (one may appear more than
     once), ``tail`` is None or an (..., M, d) tensor.
+
+    A recorded call keeps no copy of the weights: its VJP rebuilds the
+    channel planes from them.
     """
     w = _as_tensor(weights)
     srcs = [_as_tensor(t) for t in sources]
@@ -860,8 +911,7 @@ def pool_channels(weights, sources, tail=None):
     if any(t.shape[:-1] != rows for t in srcs):
         raise ShapeError(f"pool_channels expects sources of shape {rows} "
                          f"+ (d,), got {[t.shape for t in srcs]}")
-    # one (M, M) plane per channel, each contiguous for BLAS
-    planes = np.ascontiguousarray(np.moveaxis(w.data, -1, -3))
+    planes = _channel_planes(w.data)
     bounds = np.cumsum([0] + [t.shape[-1] for t in srcs])
     data = np.empty(rows + (bounds[-1],),
                     dtype=np.result_type(w.data, *(t.data for t in srcs)))
@@ -871,6 +921,7 @@ def pool_channels(weights, sources, tail=None):
 
     def vjp(g):
         gw = np.empty_like(w.data) if w.requires_grad else None
+        planes = _channel_planes(w.data)
         grads = []
         for c, t in enumerate(srcs):
             gc = g[..., bounds[c]:bounds[c + 1]]

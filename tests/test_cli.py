@@ -57,6 +57,14 @@ def run_train(data_files, out_dir, extra=()):
     return out_dir
 
 
+def file_in_the_way(tmp_path, where):
+    """An existing file, and an --out-dir that is that file (``file``) or
+    a directory under it (``under_file``)."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    return blocker, blocker if where == "file" else blocker / "sub"
+
+
 class TestSynth:
     def test_writes_loadable_file(self, tmp_path):
         path = synth(tmp_path / "d.emb")
@@ -130,6 +138,18 @@ class TestTrain:
                    "--val", str(data_files["val"]),
                    "--out-dir", str(tmp_path / "x")])
         assert rc == 2
+
+    @pytest.mark.parametrize("where", ["file", "under_file"])
+    def test_out_dir_blocked_by_file_is_data_error(self, tmp_path, data_files,
+                                                   capsys, where):
+        blocker, out = file_in_the_way(tmp_path, where)
+        rc = main(["train", "--train", str(data_files["train"]),
+                   "--val", str(data_files["val"]), "--out-dir", str(out),
+                   *FAST_MODEL, *FAST_TRAIN])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(out) in err
+        assert blocker.read_text() == "kept"
 
 
 class TestEval:
@@ -305,6 +325,21 @@ class TestAblate:
         assert "config error" in shown.err
         assert f"{axis}=" not in shown.out   # no run reported
         assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["file", "under_file"])
+    def test_out_dir_blocked_by_file_is_data_error(self, tmp_path, data_files,
+                                                   capsys, where):
+        blocker, out = file_in_the_way(tmp_path, where)
+        rc = main(["ablate", "--train", str(data_files["train"]),
+                   "--val", str(data_files["val"]),
+                   "--test", str(data_files["test"]),
+                   "--axis", "layers", "--values", "1",
+                   "--out-dir", str(out), *FAST_MODEL, *FAST_TRAIN])
+        assert rc == 2
+        shown = capsys.readouterr()
+        assert shown.err.startswith("data error:") and str(out) in shown.err
+        assert "layers=" not in shown.out   # refused before any run
+        assert blocker.read_text() == "kept"
 
     def test_unknown_axis_is_usage_error(self, tmp_path, data_files):
         rc = main(["ablate",

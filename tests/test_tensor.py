@@ -152,6 +152,26 @@ class TestBackward:
             tape.backward(used)
         assert np.array_equal(y.grad, np.zeros(3))
 
+    def test_replaying_a_tape_adds_one_gradient_per_replay(self):
+        # the first replay leaves no gradient on a node output, so the
+        # second adds exactly 2x again: 4x in all, not 6x
+        x = t(np.random.default_rng(5).normal(size=(3,)))
+        with T.Tape() as tape:
+            loss = T.tensor_sum(T.mul(x, x))
+            tape.backward(loss)
+            tape.backward(loss)
+        assert np.array_equal(x.grad, 4 * x.data)
+
+    def test_only_leaves_keep_a_gradient(self):
+        x, y = t(np.ones(3)), t([1.0, 2.0, 3.0])
+        with T.Tape() as tape:
+            hidden = T.exp(T.mul(x, y))
+            _unused = T.mul(y, 2.0)
+            tape.backward(T.tensor_sum(T.mul(hidden, x)))
+        assert len(tape) == 5
+        assert all(out.grad is None for out, _, _ in tape._nodes)
+        assert x.grad is not None and y.grad is not None
+
     def test_shared_gradient_array_is_never_written_in_place(self):
         # add's VJP hands one array to both inputs; x then receives a
         # second contribution, which must not reach y's gradient
@@ -565,6 +585,10 @@ def chain_readout_ce(edges, queries, channel, indicator, truth, complement):
     return T.mul(T.tensor_mean(T.log(picked)), -1.0)
 
 
+def chain_pair_mean_product(a, b):
+    return T.tensor_mean(T.mul(a, b), axis=(-3, -2))
+
+
 def readout_task(m, n_way):
     """Queries, visible-support indicator and truth for m vertices: the
     first 2 * n_way are supports (one of them hidden), the rest queries."""
@@ -609,6 +633,7 @@ def fused_cases(rng, c, dtype=np.float64, dead=True):
     ce_args = dict(queries=queries, channel=c - 1,
                    indicator=indicator.astype(dtype), truth=truth,
                    complement=c == 3)
+    pmp_a, pmp_e = tensor((M, M, c), 0.1, 0.9), edges()
     return [
         ("stack_last", lambda: T.stack_last(parts, complement),
          lambda: chain_stack(parts, complement), list(dict.fromkeys(parts)),
@@ -625,6 +650,9 @@ def fused_cases(rng, c, dtype=np.float64, dead=True):
          weights((M, sum(s.shape[1] for s in sources) + 4))),
         ("readout_ce", lambda: T.readout_ce(ce_edges, **ce_args),
          lambda: chain_readout_ce(ce_edges, **ce_args), [ce_edges], None),
+        ("pair_mean_product", lambda: T.pair_mean_product(pmp_a, pmp_e),
+         lambda: chain_pair_mean_product(pmp_a, pmp_e), [pmp_a, pmp_e],
+         weights((c,))),
     ]
 
 
@@ -639,7 +667,7 @@ def standardize_case(rng, dtype=np.float64):
 
 
 FUSED = ["stack_last", "normalize_last", "edge_rescale", "pool_channels",
-         "readout_ce"]
+         "readout_ce", "pair_mean_product"]
 
 
 class TestFusedLayerOps:
@@ -685,6 +713,123 @@ class TestFusedLayerOps:
                 tape.backward(T.tensor_sum(out))
             assert out.dtype == np.float32
             assert all(x.grad.dtype == np.float32 for x in inputs)
+
+
+C5_CFG = ModelConfig(feature_dim=16, hidden_dim=32, use_encoder=False,
+                     metric_hidden=32, standardize_vertex=True,
+                     aggregate_self=True)
+# a stacked group of four M = 16 episodes, then M = 80 and 160
+STEP_SHAPES = pytest.mark.parametrize(
+    "shape,count", [((2, 5, 3), 4), ((5, 1, 15), 1), ((8, 5, 15), 1)],
+    ids=["m16x4", "m80", "m160"])
+
+
+def step_episode(shape, count):
+    ds, _, _ = synth_benchmark(20, 8, 8, per_class=30, dim=16, sep=6.0,
+                               seed=1)
+    rng = make_rng(7, 0)
+    episodes = [sample_episode(ds, *shape, label_fraction=0.4, rng=rng)
+                for _ in range(count)]
+    return stack_episodes(episodes) if count > 1 else episodes[0]
+
+
+def taped_step(episode, params):
+    """Parameter gradients of one taped step, and its tape."""
+    params.zero_grads()
+    with T.Tape() as tape:
+        graph = forward(episode, params)
+        total = losses.total_loss(losses.episodic_ce(graph, episode),
+                                  losses.manifold_loss(graph), 1e-5)
+        tape.backward(T.tensor_sum(total))
+    return {n: params.t(n).grad.copy() for n in params.names()}, tape
+
+
+def closure_arrays(tape):
+    """The arrays the VJP of a one-node tape keeps beside its inputs'
+    data."""
+    (_, inputs, vjp), = tape._nodes
+    own = {id(x.data) for x in inputs}
+    return [cell.cell_contents for cell in vjp.__closure__
+            if isinstance(cell.cell_contents, np.ndarray)
+            and id(cell.cell_contents) not in own]
+
+
+class TestReleasedGradients:
+    @STEP_SHAPES
+    def test_taped_step_leaves_gradients_on_parameters_only(self, shape,
+                                                            count):
+        grads, tape = taped_step(step_episode(shape, count),
+                                 init_params(C5_CFG, seed=3))
+        assert all(out.grad is None for out, _, _ in tape._nodes)
+        assert all(np.all(np.isfinite(g)) for g in grads.values())
+
+    @STEP_SHAPES
+    def test_structure_term_matches_chain_bitwise(self, shape, count):
+        graph = forward(step_episode(shape, count),
+                        init_params(C5_CFG, seed=3))
+        rng = np.random.default_rng(9)
+        for stack, edges in zip(graph.affinities, graph.edges):
+            w = T.Tensor(rng.normal(size=stack.shape[:-3] + stack.shape[-1:]))
+            results = []
+            for op in (T.pair_mean_product, chain_pair_mean_product):
+                a, b = t(stack.data), t(edges.data)
+                with T.Tape() as tape:
+                    out = op(a, b)
+                    tape.backward(T.tensor_sum(T.mul(out, w)))
+                results.append([out.data, a.grad, b.grad])
+            for got, want in zip(*results):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+    @STEP_SHAPES
+    def test_step_gradients_match_chain_structure_term_bitwise(
+            self, monkeypatch, shape, count):
+        episode = step_episode(shape, count)
+        params = init_params(C5_CFG, seed=3)
+        got, _ = taped_step(episode, params)
+        monkeypatch.setattr(T, "pair_mean_product", chain_pair_mean_product)
+        want, _ = taped_step(episode, params)
+        assert got.keys() == want.keys()
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    @STEP_SHAPES
+    def test_pool_channels_gradients_bitwise(self, shape, count):
+        # gradients with the planes the VJP rebuilds are those with the
+        # planes the forward pooled with
+        m = shape[0] * (shape[1] + shape[2])
+        lead = (count,) if count > 1 else ()
+        rng = np.random.default_rng(11)
+        w = t(rng.uniform(0.1, 1.0, size=lead + (m, m, 3)))
+        u, v = t(rng.normal(size=lead + (m, 5))), t(rng.normal(size=lead + (m, 4)))
+        sources, tail = [v, u, u], t(rng.normal(size=lead + (m, 6)))
+        g = rng.normal(size=lead + (m, 20))
+        with T.Tape() as tape:
+            out = T.pool_channels(w, sources, tail)
+            tape.backward(T.tensor_sum(T.mul(out, T.Tensor(g))))
+        planes = np.ascontiguousarray(np.moveaxis(w.data, -1, -3))
+        bounds = (0, 4, 9, 14, 20)
+        parts = [g[..., bounds[c]:bounds[c + 1]] for c in range(4)]
+        want_w = np.empty_like(w.data)
+        back = []
+        for c, src in enumerate(sources):
+            want_w[..., c] = parts[c] @ np.swapaxes(src.data, -1, -2)
+            back.append(np.swapaxes(planes[..., c, :, :], -1, -2) @ parts[c])
+        assert w.grad.tobytes() == want_w.tobytes()
+        assert v.grad.tobytes() == back[0].tobytes()
+        assert u.grad.tobytes() == np.add(back[1], back[2]).tobytes()
+        assert tail.grad.tobytes() == parts[3].tobytes()
+
+    def test_recorded_ops_keep_no_full_size_array(self):
+        rng = np.random.default_rng(12)
+        a, b = (t(rng.uniform(0.1, 1.0, size=(2, 9, 9, 3))) for _ in "ab")
+        with T.Tape() as tape:
+            T.pair_mean_product(a, b)
+        assert closure_arrays(tape) == []
+        sources = [t(rng.normal(size=(2, 9, 4))) for _ in range(3)]
+        with T.Tape() as tape:
+            T.pool_channels(a, sources)
+        assert all(arr.size < a.size for arr in closure_arrays(tape))
 
 
 PRIMITIVES = [
