@@ -530,8 +530,8 @@ def pair_index(m):
     order, ``upper`` and ``lower`` the flat positions of (i, j) and
     (j, i) in that pair order, ``diag`` the flat diagonal. ``spread``
     maps each flat position to its pair, and the diagonal to P, one past
-    the last pair. Cached per size; the arrays are read-only, so
-    evaluation threads share them.
+    the last pair. Cached per size; the arrays are read-only, so every
+    caller can share them.
     """
     rows, cols = np.triu_indices(m, 1)
     upper, lower, diag = rows * m + cols, cols * m + rows, np.arange(m) * (m + 1)

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import atexit
 import json
+import threading
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
@@ -222,13 +223,155 @@ def episode_groups(episodes):
     return [stack_episodes(c) if len(c) > 1 else c[0] for c in chunks]
 
 
+def _share_accuracies(groups, params):
+    """The accuracies of each group in order, and the exception the
+    first failing group raised (None if none did); groups after it are
+    not run."""
+    accs = []
+    for group in groups:
+        try:
+            accs.append(losses.accuracy(forward(group, params), group))
+        except Exception as exc:
+            return accs, exc
+    return accs, None
+
+
+def _serve(conn, inherited):
+    """A worker's loop: receive (model config, parameter arrays, groups),
+    reply with ``_share_accuracies`` of them, until the parent closes its
+    end of the pipe (or dies). ``inherited`` are the parent's ends of
+    every worker's pipe, this one's included, which the fork copied."""
+    import signal
+
+    # an interrupt reaches the whole process group; the parent handles it
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # with no copy of a parent end left in any worker, each worker sees
+    # end of file once the parent closes its end or dies
+    for end in inherited:
+        end.close()
+    while True:
+        try:
+            config, arrays, groups = conn.recv()
+        except EOFError:
+            return
+        params = ModelParams(config, {name: T.Tensor(arr)
+                                      for name, arr in arrays.items()})
+        conn.send(_share_accuracies(groups, params))
+
+
+class _Workers:
+    """The worker processes of ``evaluate``, shared by every call in the
+    process and closed at interpreter exit.
+
+    The start method is ``fork``, asked for by name (Python 3.14 makes
+    ``forkserver`` the default on Linux). A forked worker runs the
+    ``hospgnn`` the parent imported, from the parent's ``src/``, with
+    BLAS already loaded under the parent's thread pin, so every group
+    runs the arithmetic the parent would run, bit for bit. It starts at
+    once, re-imports no ``__main__`` (a caller's script needs no main
+    guard) and needs no resource-tracker process. It also inherits the
+    parent's grown heap: a ``spawn`` worker starts from a fresh one, and
+    at M = 160 it faults in about 1800 fresh pages per share, every
+    share, where a forked worker faults in almost none, so spawned
+    workers gave back much of the speed-up (figures in CHANGES.md).
+    The cost: forking a process that runs other threads can deadlock
+    the child on a lock one of them held, and Python 3.12 and later
+    warn (DeprecationWarning) when such a process forks. hospgnn runs no
+    threads of its own, and the workers start only in the first call
+    that needs them, from the calling thread; a caller that runs
+    threads should make that call before it starts them.
+    ``multiprocessing`` is imported then too, not when hospgnn loads.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()   # one call's exchange at a time
+        self.procs = []
+        self.conns = []   # the parent's end of each worker's pipe
+
+    def start(self, count):
+        """The pipes of the first ``count`` workers, started as needed;
+        if one has died, every worker is replaced."""
+        if not all(proc.is_alive() for proc in self.procs):
+            self.close(terminate=True)
+        if len(self.procs) < count:
+            import multiprocessing
+
+            ctx = multiprocessing.get_context("fork")
+            while len(self.procs) < count:
+                here, there = ctx.Pipe()
+                proc = ctx.Process(target=_serve,
+                                   args=(there, self.conns + [here]),
+                                   name="hospgnn-evaluate", daemon=True)
+                proc.start()
+                there.close()
+                self.procs.append(proc)
+                self.conns.append(here)
+            # registered after the exit hook multiprocessing registers
+            # when it starts its first process, so this one runs first
+            # and the workers leave on end of file, not terminated
+            atexit.unregister(self.close)
+            atexit.register(self.close)
+        return self.conns[:count]
+
+    def close(self, terminate=False):
+        """Stop every worker: close its pipe and wait for it to leave, or
+        ``terminate`` it first when it may be mid-share."""
+        for conn in self.conns:
+            conn.close()
+        for proc in self.procs:
+            if terminate:
+                proc.terminate()
+            proc.join(timeout=10)
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+        self.procs, self.conns = [], []
+
+    def accuracies(self, groups, params, shares):
+        """Every group's accuracies in group order, with the groups cut
+        into ``shares`` shares, ``groups[k::shares]``: the caller runs
+        share 0 while worker k runs share k. The first failing group's
+        exception is raised, as the serial loop raises it. Every reply is
+        read before that; on any other failure or an interrupt the
+        workers are closed, so no reply outlives its call."""
+        arrays = {name: p.data for name, p in params.tensors.items()}
+        with self.lock:
+            try:
+                conns = self.start(shares - 1)
+                for k, conn in enumerate(conns, 1):
+                    conn.send((params.config, arrays, groups[k::shares]))
+                results = [_share_accuracies(groups[::shares], params)]
+                for conn in conns:
+                    try:
+                        results.append(conn.recv())
+                    except (EOFError, ConnectionError):
+                        raise RuntimeError(
+                            "an evaluation worker exited mid-share") from None
+            except BaseException:
+                self.close(terminate=True)
+                raise
+        failed = [(len(accs) * shares + k, exc)
+                  for k, (accs, exc) in enumerate(results) if exc is not None]
+        if failed:
+            raise min(failed, key=lambda f: f[0])[1]
+        return [results[i % shares][0][i // shares] for i in range(len(groups))]
+
+
+_WORKERS = _Workers()
+
+
 def evaluate(ds, params, cfg, episodes, seed=None, workers=1):
     """Mean query accuracy and 95% confidence half-width over episodes.
 
     Episodes are sampled up front from one stream and run in
-    ``episode_groups``, which the workers (at least one) share, so the
-    result does not depend on the worker count. Mean and half-width are
-    taken over the per-episode accuracies.
+    ``episode_groups``. With ``workers`` w > 1 (capped at the number of
+    groups) the groups are cut into w shares, ``groups[k::w]``: this
+    process runs share 0 while w - 1 persistent worker processes
+    (``_Workers``) run the others, and the accuracies are put back in
+    group order. Every group runs the same arithmetic on any worker, so
+    the result is bitwise that of ``workers=1``, which runs the groups
+    inline; a failing group raises what the inline loop would. Mean and
+    half-width are taken over the per-episode accuracies.
     """
     if episodes < 1:
         raise ConfigError("need at least one evaluation episode")
@@ -239,17 +382,13 @@ def evaluate(ds, params, cfg, episodes, seed=None, workers=1):
                        cfg.label_fraction, rng)
         for _ in range(episodes)
     ]
-
-    def run(group):
-        graph = forward(group, params)
-        return losses.accuracy(graph, group)
-
     groups = episode_groups(eps)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            accs = list(pool.map(run, groups))
+    shares = min(workers, len(groups))
+    if shares > 1:
+        accs = _WORKERS.accuracies(groups, params, shares)
     else:
-        accs = [run(group) for group in groups]
+        accs = [losses.accuracy(forward(group, params), group)
+                for group in groups]
     accs = np.concatenate([np.atleast_1d(a) for a in accs])
     mean = float(accs.mean())
     half = 0.0

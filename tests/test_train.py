@@ -1,8 +1,10 @@
+import dataclasses
 import gc
 import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -12,12 +14,14 @@ import pytest
 from hospgnn import losses, tensor as T
 from hospgnn.data import (
     make_rng, sample_episode, synth_benchmark, synth_clusters)
-from hospgnn.errors import ConfigError, DataError, NumericError
+from hospgnn.errors import (
+    ConfigError, DataError, DegenerateEpisodeError, NumericError)
 from hospgnn.losses import (
     accuracy, episodic_ce, manifold_loss, predict_labels, total_loss)
 from hospgnn.model import ModelConfig, forward, init_params
 from hospgnn.train import (
     _STREAM_EVAL,
+    _WORKERS,
     ADAM_BETAS,
     ADAM_EPS,
     Adam,
@@ -408,6 +412,217 @@ class TestEvaluate:
         # train refuses before its first iteration, not at its first eval
         with pytest.raises(ConfigError, match="workers"):
             train(train_pool, val_pool, cfg, workers=workers)
+
+
+# M = 16 evaluation episodes run in stacked groups of 8: four groups
+M16_FOUR_GROUPS = 32
+
+
+def _m16_eval_setup():
+    pool = synth_clusters(6, 20, 8, sep=2.0, seed=75)
+    cfg = small_cfg(n_way=2, k_shot=5, n_query=3, label_fraction=0.4)
+    return pool, cfg, init_params(cfg.model, seed=3)
+
+
+def _corrupt(group, kind):
+    """The group with its episode 2 made to fail the way ``kind`` says."""
+    if kind == "unlabelled":
+        mask = group.label_mask.copy()
+        mask[2] = False
+        return dataclasses.replace(group, label_mask=mask)
+    features = group.features.copy()
+    if kind == "degenerate":
+        features[2] = 0.0
+    else:   # "nan"
+        features[2, 3] = np.nan
+    return dataclasses.replace(group, features=features)
+
+
+ERROR_OF = {"degenerate": DegenerateEpisodeError, "nan": NumericError,
+            "unlabelled": DataError}
+
+
+def _live_workers():
+    return [proc for proc in _WORKERS.procs if proc.is_alive()]
+
+
+class TestEvaluateWorkers:
+    """evaluate(workers > 1) runs shares of the groups in worker
+    processes; every result and error is that of workers=1."""
+
+    @pytest.mark.parametrize("shape,episodes,groups", [
+        ((2, 5, 3), 32, 4),    # M = 16, stacked groups of 8
+        ((8, 5, 15), 3, 3),    # M = 160, one episode per group
+    ])
+    def test_worker_counts_give_identical_results(self, shape, episodes,
+                                                  groups):
+        n_way, k_shot, n_query = shape
+        pool = synth_clusters(8, 20, 16, sep=6.0, seed=76)
+        cfg = TrainConfig(model=ModelConfig(**C5_MODEL), n_way=n_way,
+                          k_shot=k_shot, n_query=n_query, seed=5)
+        params = init_params(cfg.model, seed=5)
+        rng = make_rng(9, _STREAM_EVAL)
+        eps = [sample_episode(pool, *shape, 1.0, rng) for _ in range(episodes)]
+        assert len(episode_groups(eps)) == groups
+        one = evaluate(pool, params, cfg, episodes, seed=9, workers=1)
+        for workers in (2, 3):
+            assert evaluate(pool, params, cfg, episodes, seed=9,
+                            workers=workers) == one
+            assert len(_live_workers()) >= workers - 1
+
+    @pytest.mark.parametrize("failing", [
+        {1: "degenerate"},                   # the worker's share
+        {2: "nan"},                          # the caller's share
+        {3: "unlabelled"},
+        {1: "nan", 2: "degenerate"},         # lowest group wins: worker's
+        {2: "unlabelled", 3: "degenerate"},  # lowest group wins: caller's
+        {0: "degenerate", 1: "unlabelled", 3: "nan"},
+    ], ids=lambda f: "-".join(f"{g}{k}" for g, k in f.items()))
+    def test_failing_group_raises_as_the_serial_loop(self, monkeypatch,
+                                                     failing):
+        train_module = sys.modules["hospgnn.train"]
+        pool, cfg, params = _m16_eval_setup()
+        episodes = M16_FOUR_GROUPS
+        clean = evaluate(pool, params, cfg, episodes, seed=6, workers=1)
+        real_groups = train_module.episode_groups
+
+        def groups_with_failures(eps):
+            groups = real_groups(eps)
+            assert len(groups) == 4
+            return [_corrupt(g, failing[i]) if i in failing else g
+                    for i, g in enumerate(groups)]
+
+        errors = {}
+        for workers in (1, 2, 3):
+            with monkeypatch.context() as patch:
+                patch.setattr(train_module, "episode_groups",
+                              groups_with_failures)
+                with pytest.raises(Exception) as info:
+                    evaluate(pool, params, cfg, episodes, seed=6,
+                             workers=workers)
+            errors[workers] = (type(info.value), str(info.value))
+            # every reply of the failed call was read: the next call gets
+            # its own results from the same workers
+            assert evaluate(pool, params, cfg, episodes, seed=6,
+                            workers=workers) == clean
+        assert errors[1][0] is ERROR_OF[failing[min(failing)]]
+        assert errors[2] == errors[1] and errors[3] == errors[1]
+
+    def test_interrupt_discards_the_workers(self, monkeypatch):
+        train_module = sys.modules["hospgnn.train"]
+        pool, cfg, params = _m16_eval_setup()
+        episodes = M16_FOUR_GROUPS
+        clean = evaluate(pool, params, cfg, episodes, seed=6, workers=2)
+        assert len(_live_workers()) >= 1
+        started = list(_WORKERS.procs)
+
+        def interrupted(groups, params):
+            raise KeyboardInterrupt
+
+        # the caller is interrupted in its own share while the worker
+        # still owes a reply to this call
+        with monkeypatch.context() as patch:
+            patch.setattr(train_module, "_share_accuracies", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                evaluate(pool, params, cfg, episodes, seed=6, workers=2)
+        assert _WORKERS.procs == []
+        assert not any(proc.is_alive() for proc in started)
+        assert evaluate(pool, params, cfg, episodes, seed=6,
+                        workers=2) == clean
+
+    def test_concurrent_calls_keep_their_own_replies(self):
+        pool, cfg, params = _m16_eval_setup()
+        episodes = M16_FOUR_GROUPS
+        seeds = range(20, 26)
+        expected = {s: evaluate(pool, params, cfg, episodes, seed=s,
+                                workers=1) for s in seeds}
+        # the workers start here, before any other thread runs
+        assert evaluate(pool, params, cfg, episodes, seed=20,
+                        workers=2) == expected[20]
+        got = {}
+
+        def call(s):
+            got[s] = evaluate(pool, params, cfg, episodes, seed=s, workers=2)
+
+        threads = [threading.Thread(target=call, args=(s,)) for s in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == expected
+
+    def test_workers_are_capped_at_the_group_count(self):
+        pool, cfg, params = _m16_eval_setup()
+        _WORKERS.close()
+        # 8 episodes at M = 16 are one group: nothing to share
+        one = evaluate(pool, params, cfg, 8, seed=6, workers=1)
+        assert evaluate(pool, params, cfg, 8, seed=6, workers=3) == one
+        assert _WORKERS.procs == []
+        # 24 episodes are three groups; 2 then 3 workers
+        for workers, live in ((2, 1), (3, 2)):
+            assert evaluate(pool, params, cfg, 24, seed=6, workers=workers) \
+                == evaluate(pool, params, cfg, 24, seed=6, workers=1)
+            assert len(_live_workers()) == len(_WORKERS.procs) == live
+        # 17 episodes are three groups too, so 4 workers use 2 of them
+        assert evaluate(pool, params, cfg, 17, seed=6, workers=4) \
+            == evaluate(pool, params, cfg, 17, seed=6, workers=1)
+        assert len(_WORKERS.procs) == 2
+
+
+# evaluate() on M = 160 episodes in a fresh interpreter, one call per
+# worker count in argv, each call with as many episodes as workers. It
+# prints its worker PIDs, then, after the workers are closed at exit,
+# their exit codes
+WORKERS_CHILD = """
+import atexit, sys
+procs = []
+atexit.register(lambda: print(*[proc.exitcode for proc in procs]))
+from hospgnn import ModelConfig, TrainConfig, evaluate, init_params
+from hospgnn.data import synth_clusters
+from hospgnn.train import _WORKERS
+pool = synth_clusters(8, 20, 16, sep=6.0, seed=76)
+cfg = TrainConfig(model=ModelConfig(**{model!r}), n_way=8, k_shot=5,
+                  n_query=15, seed=5)
+params = init_params(cfg.model, seed=5)
+for workers in map(int, sys.argv[1:]):
+    assert evaluate(pool, params, cfg, workers, workers=workers) \\
+        == evaluate(pool, params, cfg, workers, workers=1)
+procs += _WORKERS.procs
+print(*[proc.pid for proc in procs])
+"""
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("counts", [["2"], ["2", "3"]], ids="-".join)
+def test_workers_leave_with_the_interpreter(counts):
+    src = str(Path(__import__("hospgnn").__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", WORKERS_CHILD.format(model=C5_MODEL), *counts],
+        capture_output=True, env=env, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    pids, codes = done.stdout.splitlines()
+    pids = [int(pid) for pid in pids.split()]
+    assert len(pids) == int(counts[-1]) - 1
+    # each worker left on end of file, none was terminated or killed: no
+    # worker forked later kept a copy of an earlier one's pipe end
+    assert codes.split() == ["0"] * len(pids)
+    assert not any(_alive(pid) for pid in pids)
 
 
 # the child's own peak RSS in kB. Not ru_maxrss: Linux carries the
