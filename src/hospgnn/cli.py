@@ -236,9 +236,10 @@ def make_parser(config_defaults=None):
                     "edge channels.",
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="processes that share each evaluation's "
-                             "episodes (training stays serial)")
+    parser.add_argument("--workers", type=int, default=None,
+                        help="processes that share the episodes of each "
+                             "training step and evaluation (default: the "
+                             "usable cores)")
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON file of config keys; flags win over it")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import atexit
 import json
+import os
 import threading
 import zipfile
 from dataclasses import dataclass, asdict, replace
@@ -205,9 +206,16 @@ def load_checkpoint(path):
     return ckpt
 
 
-def _require_workers(workers):
+def _resolve_workers(workers):
+    """``workers``, or the cores this process may run on when None."""
+    if workers is None:
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:   # no affinity call on this platform
+            return os.cpu_count() or 1
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
+    return workers
 
 
 def episode_groups(episodes):
@@ -236,11 +244,40 @@ def _share_accuracies(groups, params):
     return accs, None
 
 
+def _backward(group, params, structure_weight, scale):
+    """One tape: add ``scale`` times the group's total-loss gradients to
+    the parameters' ``grad``; return that scaled loss."""
+    with T.Tape() as tape:
+        graph = forward(group, params)
+        ce = losses.episodic_ce(graph, group)
+        ml = losses.manifold_loss(graph)
+        total = losses.total_loss(ce, ml, structure_weight)
+        contribution = T.mul(T.tensor_sum(total), scale)
+        tape.backward(contribution)
+    return float(contribution.data)
+
+
+def _share_gradients(groups, params, structure_weight, scale):
+    """Each group's own ``_backward`` gradients (a list in
+    ``ModelParams`` order) and loss, in order, and the exception as
+    ``_share_accuracies`` gives it."""
+    out = []
+    for group in groups:
+        params.zero_grads()
+        try:
+            loss = _backward(group, params, structure_weight, scale)
+        except Exception as exc:
+            return out, exc
+        out.append(([p.grad for p in params.values()], loss))
+    return out, None
+
+
 def _serve(conn, inherited):
-    """A worker's loop: receive (model config, parameter arrays, groups),
-    reply with ``_share_accuracies`` of them, until the parent closes its
-    end of the pipe (or dies). ``inherited`` are the parent's ends of
-    every worker's pipe, this one's included, which the fork copied."""
+    """A worker's loop: receive (share tag, model config, parameter
+    arrays, groups, further arguments), reply with what the share
+    function the tag names gives, until the parent closes its end of
+    the pipe (or dies). ``inherited`` are the parent's ends of every
+    worker's pipe, this one's included, which the fork copied."""
     import signal
 
     # an interrupt reaches the whole process group; the parent handles it
@@ -251,16 +288,18 @@ def _serve(conn, inherited):
         end.close()
     while True:
         try:
-            config, arrays, groups = conn.recv()
+            tag, config, arrays, groups, args = conn.recv()
         except EOFError:
             return
-        params = ModelParams(config, {name: T.Tensor(arr)
-                                      for name, arr in arrays.items()})
-        conn.send(_share_accuracies(groups, params))
+        params = ModelParams(config, {
+            name: T.Tensor(arr, requires_grad=True)
+            for name, arr in arrays.items()})
+        conn.send(globals()[tag](groups, params, *args))
 
 
 class _Workers:
-    """The worker processes of ``evaluate``, shared by every call in the
+    """The worker processes that run shares of the episode groups of
+    ``evaluate`` and of every ``train`` step, shared by every call in the
     process and closed at interpreter exit.
 
     The start method is ``fork``, asked for by name (Python 3.14 makes
@@ -276,11 +315,14 @@ class _Workers:
     workers gave back much of the speed-up (figures in CHANGES.md).
     The cost: forking a process that runs other threads can deadlock
     the child on a lock one of them held, and Python 3.12 and later
-    warn (DeprecationWarning) when such a process forks. hospgnn runs no
-    threads of its own, and the workers start only in the first call
-    that needs them, from the calling thread; a caller that runs
-    threads should make that call before it starts them.
-    ``multiprocessing`` is imported then too, not when hospgnn loads.
+    warn (DeprecationWarning) when such a process forks, which a test
+    run with warnings as errors may report as a failure; as ``workers``
+    defaults to the usable cores, a default call with two or more
+    groups may fork. hospgnn runs no threads of its own, and the
+    workers start only in the first call that needs them, from the
+    calling thread; a caller that runs threads should make that call
+    before it starts them, or pass ``workers=1``. ``multiprocessing`` is
+    imported then too.
     """
 
     def __init__(self):
@@ -301,7 +343,7 @@ class _Workers:
                 here, there = ctx.Pipe()
                 proc = ctx.Process(target=_serve,
                                    args=(there, self.conns + [here]),
-                                   name="hospgnn-evaluate", daemon=True)
+                                   name="hospgnn-worker", daemon=True)
                 proc.start()
                 there.close()
                 self.procs.append(proc)
@@ -327,31 +369,34 @@ class _Workers:
                 proc.join()
         self.procs, self.conns = [], []
 
-    def accuracies(self, groups, params, shares):
-        """Every group's accuracies in group order, with the groups cut
-        into ``shares`` shares, ``groups[k::shares]``: the caller runs
-        share 0 while worker k runs share k. The first failing group's
-        exception is raised, as the serial loop raises it. Every reply is
-        read before that; on any other failure or an interrupt the
-        workers are closed, so no reply outlives its call."""
+    def run(self, tag, groups, params, shares, *args):
+        """What the share function named ``tag`` gives each group, in
+        group order, with the groups cut into ``shares`` shares,
+        ``groups[k::shares]``: the caller runs share 0 while worker k
+        runs share k. Only the name is sent; each side looks it up in
+        this module at call time. The first failing group's exception is
+        raised, as the serial loop raises it. Every reply is read before
+        that; on any other failure or an interrupt the workers are
+        closed, so no reply outlives its call."""
         arrays = {name: p.data for name, p in params.tensors.items()}
         with self.lock:
             try:
                 conns = self.start(shares - 1)
                 for k, conn in enumerate(conns, 1):
-                    conn.send((params.config, arrays, groups[k::shares]))
-                results = [_share_accuracies(groups[::shares], params)]
+                    conn.send((tag, params.config, arrays,
+                               groups[k::shares], args))
+                results = [globals()[tag](groups[::shares], params, *args)]
                 for conn in conns:
                     try:
                         results.append(conn.recv())
                     except (EOFError, ConnectionError):
                         raise RuntimeError(
-                            "an evaluation worker exited mid-share") from None
+                            "a worker process exited mid-share") from None
             except BaseException:
                 self.close(terminate=True)
                 raise
-        failed = [(len(accs) * shares + k, exc)
-                  for k, (accs, exc) in enumerate(results) if exc is not None]
+        failed = [(len(done) * shares + k, exc)
+                  for k, (done, exc) in enumerate(results) if exc is not None]
         if failed:
             raise min(failed, key=lambda f: f[0])[1]
         return [results[i % shares][0][i // shares] for i in range(len(groups))]
@@ -360,22 +405,23 @@ class _Workers:
 _WORKERS = _Workers()
 
 
-def evaluate(ds, params, cfg, episodes, seed=None, workers=1):
+def evaluate(ds, params, cfg, episodes, seed=None, workers=None):
     """Mean query accuracy and 95% confidence half-width over episodes.
 
     Episodes are sampled up front from one stream and run in
-    ``episode_groups``. With ``workers`` w > 1 (capped at the number of
-    groups) the groups are cut into w shares, ``groups[k::w]``: this
-    process runs share 0 while w - 1 persistent worker processes
-    (``_Workers``) run the others, and the accuracies are put back in
-    group order. Every group runs the same arithmetic on any worker, so
-    the result is bitwise that of ``workers=1``, which runs the groups
-    inline; a failing group raises what the inline loop would. Mean and
-    half-width are taken over the per-episode accuracies.
+    ``episode_groups``. With ``workers`` w > 1 (by default the usable
+    cores, capped at the number of groups) the groups are cut into w
+    shares, ``groups[k::w]``: this process runs share 0 while w - 1
+    persistent worker processes (``_Workers``) run the others, and the
+    accuracies are put back in group order. Every group runs the same
+    arithmetic on any worker, so the result is bitwise that of
+    ``workers=1``, which runs the groups inline; a failing group raises
+    what the inline loop would. Mean and half-width are taken over the
+    per-episode accuracies.
     """
     if episodes < 1:
         raise ConfigError("need at least one evaluation episode")
-    _require_workers(workers)
+    workers = _resolve_workers(workers)
     rng = make_rng(cfg.seed if seed is None else seed, _STREAM_EVAL)
     eps = [
         sample_episode(ds, cfg.n_way, cfg.k_shot, cfg.n_query,
@@ -385,7 +431,7 @@ def evaluate(ds, params, cfg, episodes, seed=None, workers=1):
     groups = episode_groups(eps)
     shares = min(workers, len(groups))
     if shares > 1:
-        accs = _WORKERS.accuracies(groups, params, shares)
+        accs = _WORKERS.run("_share_accuracies", groups, params, shares)
     else:
         accs = [losses.accuracy(forward(group, params), group)
                 for group in groups]
@@ -397,7 +443,7 @@ def evaluate(ds, params, cfg, episodes, seed=None, workers=1):
     return mean, half
 
 
-def evaluate_test(ds_test, best, cfg, workers=1):
+def evaluate_test(ds_test, best, cfg, workers=None):
     """Score a run's best checkpoint on the test split, with episodes
     drawn from seed + 0x7E57 (validation after iteration k: seed + k)."""
     return evaluate(ds_test, best.restore(), cfg, cfg.eval_episodes,
@@ -412,18 +458,21 @@ class MetricsRow:
     val_ci: float
 
 
-def train(ds_train, ds_val, cfg: TrainConfig, workers=1, log=None):
+def train(ds_train, ds_val, cfg: TrainConfig, workers=None, log=None):
     """Run the episodic loop; return the best checkpoint and the metrics.
 
     Per iteration: sample a batch of episodes, average their total-loss
     gradients, take one Adam step. The batch runs in ``episode_groups``,
-    one tape each. Every eval_every iterations the model is scored on
+    one tape each; with ``workers`` > 1 (by default the usable cores)
+    they run in shares as in ``evaluate``, and each group's gradients
+    and loss are added in group order, as ``workers=1`` accumulates them
+    inline, so the result is bitwise the same. Every eval_every iterations the model is scored on
     validation episodes and the best snapshot kept. A non-finite loss or
     parameter gradient aborts before the Adam step rather than skipping
     the batch; skipping hides gradient bugs, and a step would spread the
     NaN into every parameter.
     """
-    _require_workers(workers)
+    workers = _resolve_workers(workers)
     params = init_params(cfg.model, seed=cfg.seed)
     opt = Adam(params, cfg.learning_rate, cfg.weight_decay)
     train_rng = make_rng(cfg.seed, _STREAM_TRAIN)
@@ -442,17 +491,23 @@ def train(ds_train, ds_val, cfg: TrainConfig, workers=1, log=None):
                            cfg.label_fraction, train_rng)
             for _ in range(cfg.batch_episodes)
         ]
-        params.zero_grads()
+        groups = episode_groups(episodes)
+        shares = min(workers, len(groups))
         batch_loss = 0.0
-        for group in episode_groups(episodes):
-            with T.Tape() as tape:
-                graph = forward(group, params)
-                ce = losses.episodic_ce(graph, group)
-                ml = losses.manifold_loss(graph)
-                total = losses.total_loss(ce, ml, cfg.structure_weight)
-                contribution = T.mul(T.tensor_sum(total), scale)
-                tape.backward(contribution)
-            batch_loss += float(contribution.data)
+        if shares > 1:
+            replies = _WORKERS.run("_share_gradients", groups, params,
+                                   shares, cfg.structure_weight, scale)
+            params.zero_grads()
+            for grads, loss in replies:
+                for p, g in zip(params.values(), grads):
+                    if g is not None:
+                        p.grad = T._accumulate(p.grad, g, p.data)
+                batch_loss += loss
+        else:
+            params.zero_grads()
+            for group in groups:
+                batch_loss += _backward(group, params, cfg.structure_weight,
+                                        scale)
         if not np.isfinite(batch_loss):
             raise NumericError(
                 f"non-finite loss {batch_loss} at iteration {iteration}"
@@ -515,7 +570,7 @@ class AblationRow:
 
 
 def run_ablation(ds_train, ds_val, ds_test, base_cfg, axis, values,
-                 workers=1, log=None):
+                 workers=None, log=None):
     """Train and score one configuration per value of the chosen axis.
 
     Every run shares the base seed, so rows differ only in the swept

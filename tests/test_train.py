@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -246,7 +247,7 @@ class TestEpisodeGroups:
                           k_shot=k_shot, n_query=n_query, label_fraction=0.4,
                           batch_episodes=batch, total_iterations=1,
                           eval_episodes=1, seed=3)
-        train(c5_pool, c5_pool, cfg)
+        train(c5_pool, c5_pool, cfg, workers=1)
         assert len(nodes) == tapes
         assert max(nodes) <= 60, nodes
 
@@ -575,6 +576,148 @@ class TestEvaluateWorkers:
         assert len(_WORKERS.procs) == 2
 
 
+def _train_setup(shape, batch, **kw):
+    """Criterion 5's model on a batch of ``batch`` episodes of ``shape``,
+    for a few iterations."""
+    n_way, k_shot, n_query = shape
+    pool = synth_clusters(8, 20, 16, sep=6.0, seed=76)
+    base = dict(n_way=n_way, k_shot=k_shot, n_query=n_query,
+                label_fraction=0.4, batch_episodes=batch, total_iterations=4,
+                eval_every=2, eval_episodes=4, seed=5)
+    base.update(kw)
+    return pool, TrainConfig(model=ModelConfig(**C5_MODEL), **base)
+
+
+def _trained(pool, cfg, workers):
+    """What ``train`` returns, with the best checkpoint's arrays as bytes
+    so that equal results are bitwise equal."""
+    best, rows = train(pool, pool, cfg, workers=workers)
+    arrays = {name: (a.dtype, a.shape, a.tobytes())
+              for name, a in best.arrays.items()}
+    return rows, best.iteration, arrays
+
+
+class TestTrainWorkers:
+    """train(workers > 1) runs shares of each step's groups in worker
+    processes; every result and error is that of workers=1."""
+
+    @pytest.mark.parametrize("shape,batch,groups", [
+        ((2, 5, 3), 20, 3),    # M = 16, stacked groups of 8, 8 and 4
+        ((5, 1, 15), 3, 3),    # M = 80, one episode per group
+    ], ids=["m16", "m80"])
+    def test_worker_counts_give_identical_results(self, shape, batch,
+                                                  groups):
+        pool, cfg = _train_setup(shape, batch)
+        rng = make_rng(5, 0)
+        eps = [sample_episode(pool, *shape, 0.4, rng) for _ in range(batch)]
+        assert len(episode_groups(eps)) == groups
+        one = _trained(pool, cfg, workers=1)
+        for workers in (2, 3, None):
+            assert _trained(pool, cfg, workers) == one, workers
+            if workers is not None:
+                assert len(_live_workers()) >= workers - 1
+
+    @pytest.mark.parametrize("failing", [
+        {1: "degenerate"},                   # the worker's share
+        {1: "nan"},
+        {2: "degenerate"},                   # the caller's share at w = 2
+        {2: "nan"},
+        {1: "nan", 2: "degenerate"},         # lowest group wins: worker's
+        {2: "degenerate", 3: "nan"},         # lowest group wins: caller's
+    ], ids=lambda f: "-".join(f"{g}{k}" for g, k in f.items()))
+    def test_failing_group_raises_as_the_serial_loop(self, monkeypatch,
+                                                     failing):
+        train_module = sys.modules["hospgnn.train"]
+        pool, cfg = _train_setup((2, 5, 3), M16_FOUR_GROUPS,
+                                 total_iterations=1)
+        clean = _trained(pool, cfg, workers=1)
+        real_groups = train_module.episode_groups
+
+        def groups_with_failures(eps):
+            groups = real_groups(eps)
+            assert len(groups) == 4
+            return [_corrupt(g, failing[i]) if i in failing else g
+                    for i, g in enumerate(groups)]
+
+        errors = {}
+        for workers in (1, 2, 3):
+            with monkeypatch.context() as patch:
+                patch.setattr(train_module, "episode_groups",
+                              groups_with_failures)
+                with pytest.raises(Exception) as info:
+                    train(pool, pool, cfg, workers=workers)
+            errors[workers] = (type(info.value), str(info.value))
+            # every reply of the failed step was read: the next run gets
+            # its own results from the same workers
+            assert _trained(pool, cfg, workers) == clean
+        assert errors[1][0] is ERROR_OF[failing[min(failing)]]
+        assert errors[2] == errors[1] and errors[3] == errors[1]
+
+    @pytest.mark.parametrize("batch,poisoned", [
+        (12, 1),    # groups of 8 and 4: the worker's share
+        (20, 2),    # groups of 8, 8 and 4: the caller's share at w = 2
+    ])
+    def test_non_finite_gradient_is_named_as_the_serial_loop(
+            self, monkeypatch, batch, poisoned):
+        # the group of 4 episodes gets a zero-valued term whose backward
+        # yields NaN; the workers fork with the poisoned loss
+        pool, cfg = _train_setup((2, 5, 3), batch)
+        original = losses.episodic_ce
+
+        def poisoned_ce(graph, group):
+            ce = original(graph, group)
+            if group.features.shape[0] != 4:
+                return ce
+            zero = T._emit(np.zeros(ce.shape, dtype=ce.dtype), (ce,),
+                           lambda g: (np.full_like(g, np.nan),))
+            return T.add(ce, zero)
+
+        rng = make_rng(5, 0)
+        eps = [sample_episode(pool, 2, 5, 3, 0.4, rng) for _ in range(batch)]
+        sizes = [g.features.shape[0] for g in episode_groups(eps)]
+        assert sizes.index(4) == poisoned
+        errors = set()
+        monkeypatch.setattr(losses, "episodic_ce", poisoned_ce)
+        try:
+            for workers in (1, 2, 3):
+                _WORKERS.close()
+                with pytest.raises(NumericError) as info:
+                    train(pool, pool, cfg, workers=workers)
+                errors.add(str(info.value))
+        finally:
+            _WORKERS.close()
+        assert len(errors) == 1
+        assert re.fullmatch(r"non-finite gradient of \S+ at iteration 1",
+                            errors.pop())
+
+    def test_interrupt_discards_the_workers(self, monkeypatch):
+        train_module = sys.modules["hospgnn.train"]
+        pool, cfg = _train_setup((5, 1, 15), 3)
+        clean = _trained(pool, cfg, workers=1)
+        assert _trained(pool, cfg, workers=2) == clean
+        assert len(_live_workers()) >= 1
+        started = list(_WORKERS.procs)
+
+        def interrupted(groups, params, structure_weight, scale):
+            raise KeyboardInterrupt
+
+        # the caller is interrupted in its own share of the first step
+        # while the worker still owes a reply to it
+        with monkeypatch.context() as patch:
+            patch.setattr(train_module, "_share_gradients", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                train(pool, pool, cfg, workers=2)
+        assert _WORKERS.procs == []
+        assert not any(proc.is_alive() for proc in started)
+        assert _trained(pool, cfg, workers=2) == clean
+
+
+def test_workers_default_to_the_usable_cores():
+    train_module = sys.modules["hospgnn.train"]
+    assert train_module._resolve_workers(None) == len(os.sched_getaffinity(0))
+    assert train_module._resolve_workers(3) == 3
+
+
 # evaluate() on M = 160 episodes in a fresh interpreter, one call per
 # worker count in argv, each call with as many episodes as workers. It
 # prints its worker PIDs, then, after the workers are closed at exit,
@@ -597,6 +740,24 @@ procs += _WORKERS.procs
 print(*[proc.pid for proc in procs])
 """
 
+# the same for a train() call with the default worker count on M = 80
+# episodes, two groups per step and per validation
+TRAIN_WORKERS_CHILD = """
+import atexit
+procs = []
+atexit.register(lambda: print(*[proc.exitcode for proc in procs]))
+from hospgnn import ModelConfig, TrainConfig, train
+from hospgnn.data import synth_clusters
+from hospgnn.train import _WORKERS
+pool = synth_clusters(8, 20, 16, sep=6.0, seed=76)
+cfg = TrainConfig(model=ModelConfig(**{model!r}), n_way=5, k_shot=1,
+                  n_query=15, batch_episodes=2, total_iterations=2,
+                  eval_every=2, eval_episodes=2, seed=5)
+train(pool, pool, cfg)
+procs += _WORKERS.procs
+print(*[proc.pid for proc in procs])
+"""
+
 
 def _alive(pid):
     try:
@@ -606,23 +767,36 @@ def _alive(pid):
     return True
 
 
-@pytest.mark.parametrize("counts", [["2"], ["2", "3"]], ids="-".join)
-def test_workers_leave_with_the_interpreter(counts):
+def _child_worker_pids(code, *argv):
+    """Run ``code`` in a fresh interpreter; check that it exits cleanly
+    and that each worker it prints left on end of file and is gone;
+    return their PIDs."""
     src = str(Path(__import__("hospgnn").__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     done = subprocess.run(
-        [sys.executable, "-c", WORKERS_CHILD.format(model=C5_MODEL), *counts],
+        [sys.executable, "-c", code.format(model=C5_MODEL), *argv],
         capture_output=True, env=env, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
     pids, codes = done.stdout.splitlines()
     pids = [int(pid) for pid in pids.split()]
-    assert len(pids) == int(counts[-1]) - 1
     # each worker left on end of file, none was terminated or killed: no
     # worker forked later kept a copy of an earlier one's pipe end
     assert codes.split() == ["0"] * len(pids)
     assert not any(_alive(pid) for pid in pids)
+    return pids
+
+
+@pytest.mark.parametrize("counts", [["2"], ["2", "3"]], ids="-".join)
+def test_workers_leave_with_the_interpreter(counts):
+    pids = _child_worker_pids(WORKERS_CHILD, *counts)
+    assert len(pids) == int(counts[-1]) - 1
+
+
+def test_default_train_workers_leave_with_the_interpreter():
+    pids = _child_worker_pids(TRAIN_WORKERS_CHILD)
+    assert len(pids) == min(len(os.sched_getaffinity(0)), 2) - 1
 
 
 # the child's own peak RSS in kB. Not ru_maxrss: Linux carries the
