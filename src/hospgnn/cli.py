@@ -239,7 +239,7 @@ def make_parser(config_defaults=None):
     parser.add_argument("--workers", type=int, default=None,
                         help="processes that share the episodes of each "
                              "training step and evaluation (default: the "
-                             "usable cores)")
+                             "usable cores); results do not depend on it")
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON file of config keys; flags win over it")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -165,6 +165,13 @@ class ModelParams:
         for p in self.tensors.values():
             p.grad = None
 
+    def flat_grads(self):
+        """Every parameter's gradient in one flat vector, in ``names``
+        order, zeros where a parameter has none."""
+        return np.concatenate([
+            np.zeros(p.size, p.dtype) if p.grad is None else p.grad.reshape(-1)
+            for p in self.tensors.values()])
+
     def count(self):
         return sum(p.size for p in self.tensors.values())
 

@@ -104,23 +104,16 @@ class Adam:
         self.first = np.zeros(self.bounds[-1], dtype=dtype)
         self.second = np.zeros(self.bounds[-1], dtype=dtype)
 
-    def flat_grads(self):
-        """Every parameter's gradient in one flat vector, zeros where a
-        parameter has none."""
-        return np.concatenate([
-            (np.zeros(p.size, self.first.dtype) if p.grad is None
-             else p.grad.reshape(-1)) for p in self.params.values()])
-
     def name_at(self, index):
         """The parameter that holds entry ``index`` of the flat vector."""
         k = int(np.searchsorted(self.bounds, index, side="right")) - 1
         return self.params.names()[k]
 
     def step(self, grads=None):
-        """One update from the flat ``grads`` (``flat_grads`` when
-        None)."""
+        """One update from the flat ``grads`` (the parameters'
+        ``flat_grads`` when None)."""
         if grads is None:
-            grads = self.flat_grads()
+            grads = self.params.flat_grads()
         self.step_count += 1
         b1, b2 = ADAM_BETAS
         bias1 = 1.0 - b1 ** self.step_count
@@ -206,6 +199,17 @@ def load_checkpoint(path):
     return ckpt
 
 
+def _require_count(name, value):
+    """``value``, checked to be an integer of at least 1; anything else
+    is a ConfigError naming it. A bool is no count, as for the CLI's
+    config keys; numpy integers are."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 def _resolve_workers(workers):
     """``workers``, or the cores this process may run on when None."""
     if workers is None:
@@ -213,9 +217,7 @@ def _resolve_workers(workers):
             return len(os.sched_getaffinity(0))
         except AttributeError:   # no affinity call on this platform
             return os.cpu_count() or 1
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    return workers
+    return _require_count("workers", workers)
 
 
 def episode_groups(episodes):
@@ -244,31 +246,28 @@ def _share_accuracies(groups, params):
     return accs, None
 
 
-def _backward(group, params, structure_weight, scale):
-    """One tape: add ``scale`` times the group's total-loss gradients to
-    the parameters' ``grad``; return that scaled loss."""
-    with T.Tape() as tape:
-        graph = forward(group, params)
-        ce = losses.episodic_ce(graph, group)
-        ml = losses.manifold_loss(graph)
-        total = losses.total_loss(ce, ml, structure_weight)
-        contribution = T.mul(T.tensor_sum(total), scale)
-        tape.backward(contribution)
-    return float(contribution.data)
-
-
 def _share_gradients(groups, params, structure_weight, scale):
-    """Each group's own ``_backward`` gradients (a list in
-    ``ModelParams`` order) and loss, in order, and the exception as
-    ``_share_accuracies`` gives it."""
+    """For each group in order, one tape: the gradients of ``scale``
+    times its total loss, as one flat vector (``ModelParams.flat_grads``),
+    and that scaled loss; and the exception as ``_share_accuracies``
+    gives it. Every group's vector is held until the share returns."""
     out = []
     for group in groups:
         params.zero_grads()
         try:
-            loss = _backward(group, params, structure_weight, scale)
+            with T.Tape() as tape:
+                graph = forward(group, params)
+                ce = losses.episodic_ce(graph, group)
+                ml = losses.manifold_loss(graph)
+                total = losses.total_loss(ce, ml, structure_weight)
+                loss = T.mul(T.tensor_sum(total), scale)
+                tape.backward(loss)
         except Exception as exc:
             return out, exc
-        out.append(([p.grad for p in params.values()], loss))
+        # this group's activations go before its gradient vector and the
+        # next group's forward are allocated
+        del tape, graph
+        out.append((params.flat_grads(), float(loss.data)))
     return out, None
 
 
@@ -321,7 +320,8 @@ class _Workers:
     groups may fork. hospgnn runs no threads of its own, and the
     workers start only in the first call that needs them, from the
     calling thread; a caller that runs threads should make that call
-    before it starts them, or pass ``workers=1``. ``multiprocessing`` is
+    before it starts them, or pass ``workers=1``, which neither forks
+    nor waits for another thread's call. ``multiprocessing`` is
     imported then too.
     """
 
@@ -369,32 +369,41 @@ class _Workers:
                 proc.join()
         self.procs, self.conns = [], []
 
-    def run(self, tag, groups, params, shares, *args):
+    def run(self, tag, groups, params, workers, *args):
         """What the share function named ``tag`` gives each group, in
-        group order, with the groups cut into ``shares`` shares,
-        ``groups[k::shares]``: the caller runs share 0 while worker k
-        runs share k. Only the name is sent; each side looks it up in
-        this module at call time. The first failing group's exception is
-        raised, as the serial loop raises it. Every reply is read before
-        that; on any other failure or an interrupt the workers are
-        closed, so no reply outlives its call."""
-        arrays = {name: p.data for name, p in params.tensors.items()}
-        with self.lock:
-            try:
-                conns = self.start(shares - 1)
-                for k, conn in enumerate(conns, 1):
-                    conn.send((tag, params.config, arrays,
-                               groups[k::shares], args))
-                results = [globals()[tag](groups[::shares], params, *args)]
-                for conn in conns:
-                    try:
-                        results.append(conn.recv())
-                    except (EOFError, ConnectionError):
-                        raise RuntimeError(
-                            "a worker process exited mid-share") from None
-            except BaseException:
-                self.close(terminate=True)
-                raise
+        group order: the one way a batch of groups runs. The groups are
+        cut into ``shares = min(workers, len(groups))`` shares,
+        ``groups[k::shares]``; the caller runs share 0 while worker k
+        runs share k. With one share the caller runs every group, and
+        neither takes the lock nor touches a worker. Only the name is
+        sent; each side looks it up in this module at call time. Every
+        group runs the same arithmetic on either side, so what comes
+        back does not depend on ``workers``. The lowest-index failing
+        group's exception is raised, as one share would raise it. Every
+        reply is read before that; on any other failure or an interrupt
+        the workers are closed, so no reply outlives its call."""
+        share = globals()[tag]
+        shares = min(workers, len(groups))
+        if shares == 1:
+            results = [share(groups, params, *args)]
+        else:
+            arrays = {name: p.data for name, p in params.tensors.items()}
+            with self.lock:
+                try:
+                    conns = self.start(shares - 1)
+                    for k, conn in enumerate(conns, 1):
+                        conn.send((tag, params.config, arrays,
+                                   groups[k::shares], args))
+                    results = [share(groups[::shares], params, *args)]
+                    for conn in conns:
+                        try:
+                            results.append(conn.recv())
+                        except (EOFError, ConnectionError):
+                            raise RuntimeError("a worker process exited "
+                                               "mid-share") from None
+                except BaseException:
+                    self.close(terminate=True)
+                    raise
         failed = [(len(done) * shares + k, exc)
                   for k, (done, exc) in enumerate(results) if exc is not None]
         if failed:
@@ -409,18 +418,14 @@ def evaluate(ds, params, cfg, episodes, seed=None, workers=None):
     """Mean query accuracy and 95% confidence half-width over episodes.
 
     Episodes are sampled up front from one stream and run in
-    ``episode_groups``. With ``workers`` w > 1 (by default the usable
-    cores, capped at the number of groups) the groups are cut into w
-    shares, ``groups[k::w]``: this process runs share 0 while w - 1
-    persistent worker processes (``_Workers``) run the others, and the
-    accuracies are put back in group order. Every group runs the same
-    arithmetic on any worker, so the result is bitwise that of
-    ``workers=1``, which runs the groups inline; a failing group raises
-    what the inline loop would. Mean and half-width are taken over the
-    per-episode accuracies.
+    ``episode_groups``, through ``_Workers.run``: with ``workers`` w (by
+    default the usable cores) the groups run in min(w, groups) shares,
+    this process running share 0 and persistent worker processes the
+    others, and the accuracies come back in group order. So the result
+    and any error are the same for every ``workers``. Mean and
+    half-width are taken over the per-episode accuracies.
     """
-    if episodes < 1:
-        raise ConfigError("need at least one evaluation episode")
+    _require_count("episodes", episodes)
     workers = _resolve_workers(workers)
     rng = make_rng(cfg.seed if seed is None else seed, _STREAM_EVAL)
     eps = [
@@ -428,13 +433,8 @@ def evaluate(ds, params, cfg, episodes, seed=None, workers=None):
                        cfg.label_fraction, rng)
         for _ in range(episodes)
     ]
-    groups = episode_groups(eps)
-    shares = min(workers, len(groups))
-    if shares > 1:
-        accs = _WORKERS.run("_share_accuracies", groups, params, shares)
-    else:
-        accs = [losses.accuracy(forward(group, params), group)
-                for group in groups]
+    accs = _WORKERS.run("_share_accuracies", episode_groups(eps), params,
+                        workers)
     accs = np.concatenate([np.atleast_1d(a) for a in accs])
     mean = float(accs.mean())
     half = 0.0
@@ -463,14 +463,14 @@ def train(ds_train, ds_val, cfg: TrainConfig, workers=None, log=None):
 
     Per iteration: sample a batch of episodes, average their total-loss
     gradients, take one Adam step. The batch runs in ``episode_groups``,
-    one tape each; with ``workers`` > 1 (by default the usable cores)
-    they run in shares as in ``evaluate``, and each group's gradients
-    and loss are added in group order, as ``workers=1`` accumulates them
-    inline, so the result is bitwise the same. Every eval_every iterations the model is scored on
-    validation episodes and the best snapshot kept. A non-finite loss or
-    parameter gradient aborts before the Adam step rather than skipping
-    the batch; skipping hides gradient bugs, and a step would spread the
-    NaN into every parameter.
+    one tape each, through ``_Workers.run`` as in ``evaluate``. Each
+    group's flat gradient vector and loss come back on their own, held
+    here until they are added in group order, so the step is bitwise
+    the same for every ``workers``. Every eval_every iterations the
+    model is scored on validation episodes and the best snapshot kept.
+    A non-finite loss or parameter gradient aborts before the Adam step
+    rather than skipping the batch; skipping hides gradient bugs, and a
+    step would spread the NaN into every parameter.
     """
     workers = _resolve_workers(workers)
     params = init_params(cfg.model, seed=cfg.seed)
@@ -491,28 +491,16 @@ def train(ds_train, ds_val, cfg: TrainConfig, workers=None, log=None):
                            cfg.label_fraction, train_rng)
             for _ in range(cfg.batch_episodes)
         ]
-        groups = episode_groups(episodes)
-        shares = min(workers, len(groups))
-        batch_loss = 0.0
-        if shares > 1:
-            replies = _WORKERS.run("_share_gradients", groups, params,
-                                   shares, cfg.structure_weight, scale)
-            params.zero_grads()
-            for grads, loss in replies:
-                for p, g in zip(params.values(), grads):
-                    if g is not None:
-                        p.grad = T._accumulate(p.grad, g, p.data)
-                batch_loss += loss
-        else:
-            params.zero_grads()
-            for group in groups:
-                batch_loss += _backward(group, params, cfg.structure_weight,
-                                        scale)
+        (grads, batch_loss), *rest = _WORKERS.run(
+            "_share_gradients", episode_groups(episodes), params, workers,
+            cfg.structure_weight, scale)
+        for group_grads, loss in rest:
+            grads += group_grads
+            batch_loss += loss
         if not np.isfinite(batch_loss):
             raise NumericError(
                 f"non-finite loss {batch_loss} at iteration {iteration}"
             )
-        grads = opt.flat_grads()
         finite = np.isfinite(grads)
         if not finite.all():
             raise NumericError(

@@ -30,8 +30,9 @@ FAST_TRAIN = [
 ]
 
 
-def synth(path, seed=1, classes=6, dim=8):
-    rc = main(["synth", "--classes", str(classes), "--per-class", "12",
+def synth(path, seed=1, classes=6, dim=8, per_class=12):
+    rc = main(["synth", "--classes", str(classes),
+               "--per-class", str(per_class),
                "--dim", str(dim), "--sep", "6", "--seed", str(seed),
                "--out", str(path)])
     assert rc == 0
@@ -150,6 +151,37 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(out) in err
         assert blocker.read_text() == "kept"
+
+
+def test_results_do_not_depend_on_the_worker_count(tmp_path, capsys):
+    # M = 80 episodes are one group each: every step and validation of
+    # the run has two groups, which --workers 2 runs in two processes
+    files = {split: synth(tmp_path / f"{split}.emb", seed=seed, classes=5,
+                          per_class=16)
+             for split, seed in (("train", 1), ("val", 2), ("test", 3))}
+    runs, shown = [], []
+    for workers in ("1", "2"):
+        out = tmp_path / f"workers{workers}"
+        assert main(["train", "--train", str(files["train"]),
+                     "--val", str(files["val"]), "--out-dir", str(out),
+                     *FAST_MODEL, "--n-way", "5", "--k-shot", "1",
+                     "--queries", "15", "--batch", "2", "--iterations", "3",
+                     "--eval-every", "1", "--eval-episodes", "2",
+                     "--seed", "5", "--workers", workers]) == 0
+        runs.append(out)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(out / "checkpoint.npz"),
+                     "--data", str(files["test"]), "--episodes", "3",
+                     "--workers", workers]) == 0
+        shown.append(capsys.readouterr().out)
+    one, two = runs
+    assert (one / "metrics.csv").read_bytes() == \
+        (two / "metrics.csv").read_bytes()
+    a, b = (load_checkpoint(out / "checkpoint.npz") for out in runs)
+    assert a.iteration == b.iteration and a.arrays.keys() == b.arrays.keys()
+    for name in a.arrays:
+        assert a.arrays[name].tobytes() == b.arrays[name].tobytes(), name
+    assert shown[0] == shown[1] and shown[0].startswith("accuracy over 3 ")
 
 
 class TestEval:

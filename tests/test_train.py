@@ -718,6 +718,82 @@ def test_workers_default_to_the_usable_cores():
     assert train_module._resolve_workers(3) == 3
 
 
+@pytest.mark.parametrize("kw", [
+    {"workers": 2.0}, {"workers": 2.5}, {"workers": "2"}, {"workers": True},
+    {"episodes": 2.5}, {"episodes": float(M16_FOUR_GROUPS)},
+    {"episodes": str(M16_FOUR_GROUPS)}, {"episodes": True},
+], ids=repr)
+def test_non_integer_counts_are_refused_before_any_work(kw):
+    pool, cfg, params = _m16_eval_setup()
+    _WORKERS.close()
+    (name, value), = kw.items()
+    refusal = re.escape(f"{name} must be an integer, got {value!r}")
+    call = {"episodes": M16_FOUR_GROUPS, "workers": 2, **kw}
+    with pytest.raises(ConfigError, match=refusal):
+        evaluate(pool, params, cfg, call["episodes"], seed=6,
+                 workers=call["workers"])
+    if name == "workers":
+        train_pool, train_cfg = _train_setup((2, 5, 3), 20)
+        with pytest.raises(ConfigError, match=refusal):
+            train(train_pool, train_pool, train_cfg, workers=value)
+    assert _WORKERS.procs == []
+    # numpy integers are counts
+    assert evaluate(pool, params, cfg, np.int64(M16_FOUR_GROUPS), seed=6,
+                    workers=np.int64(2)) \
+        == evaluate(pool, params, cfg, M16_FOUR_GROUPS, seed=6, workers=1)
+
+
+def test_one_worker_runs_every_group_in_the_caller(monkeypatch):
+    # workers=1 takes the one path too: the share functions run here,
+    # each once, on every group
+    train_module = sys.modules["hospgnn.train"]
+    calls = []
+    for name in ("_share_accuracies", "_share_gradients"):
+        def spy(groups, params, *args, real=getattr(train_module, name),
+                name=name):
+            calls.append((name, os.getpid(), len(groups)))
+            return real(groups, params, *args)
+
+        monkeypatch.setattr(train_module, name, spy)
+    pool, cfg = _train_setup((2, 5, 3), 20, total_iterations=1,
+                             eval_episodes=M16_FOUR_GROUPS)
+    best, _ = train(pool, pool, cfg, workers=1)
+    evaluate(pool, best.restore(), cfg, 8, workers=1)
+    here = os.getpid()
+    assert calls == [("_share_gradients", here, 3),
+                     ("_share_accuracies", here, 4),
+                     ("_share_accuracies", here, 1)]
+
+
+def test_one_share_takes_no_lock_and_touches_no_worker():
+    # a threaded caller passes workers=1: it must not queue behind
+    # another thread's exchange with the workers
+    pool, cfg, params = _m16_eval_setup()
+    want = {episodes: evaluate(pool, params, cfg, episodes, seed=6,
+                               workers=1)
+            for episodes in (8, M16_FOUR_GROUPS)}
+    evaluate(pool, params, cfg, M16_FOUR_GROUPS, seed=6, workers=2)
+    procs = list(_WORKERS.procs)
+    assert procs
+    got = {}
+
+    def one_share_calls():
+        # 8 episodes are one group, so 3 workers make one share as well
+        got[8] = evaluate(pool, params, cfg, 8, seed=6, workers=3)
+        got[M16_FOUR_GROUPS] = evaluate(pool, params, cfg, M16_FOUR_GROUPS,
+                                        seed=6, workers=1)
+
+    caller = threading.Thread(target=one_share_calls)
+    with _WORKERS.lock:
+        caller.start()
+        caller.join(timeout=60)
+        finished = not caller.is_alive()
+    caller.join()
+    assert finished
+    assert got == want
+    assert _WORKERS.procs == procs
+
+
 # evaluate() on M = 160 episodes in a fresh interpreter, one call per
 # worker count in argv, each call with as many episodes as workers. It
 # prints its worker PIDs, then, after the workers are closed at exit,
