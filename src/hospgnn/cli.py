@@ -26,6 +26,7 @@ from .graph import parse_variant
 from .model import FIELD_CHOICES, ModelConfig
 from .train import (
     ABLATION_AXES,
+    DEFAULT_AXIS_VALUES,
     TrainConfig,
     apply_axis,
     evaluate,
@@ -434,14 +435,6 @@ def cmd_eval(args):
             "manifest": manifest,
         }, indent=2, sort_keys=True))
     return 0
-
-
-DEFAULT_AXIS_VALUES = {
-    "variant": ["d", "s", "r", "rd", "rs", "full"],
-    "layers": [1, 2, 3],
-    "structure_weight": [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7],
-    "label_fraction": [0.2, 0.4, 1.0],
-}
 
 
 def _format_table(axis, rows):

@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the count rule.
 
 The CLI maps these to exit codes: usage/config problems exit 1, data
 problems exit 2, numeric failures exit 3.
 """
+
+import numbers
 
 
 class ShapeError(ValueError):
@@ -27,3 +29,14 @@ class DegenerateEpisodeError(DataError):
 
 class ConfigError(ValueError):
     """A configuration is internally inconsistent."""
+
+
+def require_count(name, value, least=1):
+    """``value``, checked to be an integer of at least ``least``;
+    anything else is a ConfigError naming it. A bool is no count, as for
+    the CLI's config keys; numpy integers are."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
+    return value

@@ -19,14 +19,13 @@ from .errors import ConfigError, DataError
 from .graph import channel_index, complemented, readout_for
 
 
-def _readout(graph, episode, channel=None):
+def _readout(graph, episode):
     """The keyword arguments of ``T.readout_probs`` and ``T.readout_ce``
     for an episode: the query rows of the edge tensor, the channel read
-    (as its complement if ``graph.complemented``), and the constant
-    visible-support-by-class indicator, (..., M, n)."""
-    if channel is None:
-        channel = readout_for(graph.channels)
-    idx = channel_index(graph.channels, channel)
+    (``readout_for`` of the graph's channels, as its complement if
+    ``complemented``), and the constant visible-support-by-class
+    indicator, (..., M, n)."""
+    idx = channel_index(graph.channels, readout_for(graph.channels))
     visible = episode.label_mask
     indicator = np.zeros(visible.shape + (episode.n_way,),
                          dtype=graph.edges[0].dtype)
@@ -40,15 +39,15 @@ def _readout(graph, episode, channel=None):
                 complement=idx in complemented(graph.channels))
 
 
-def predict_labels(graph, episode, channel=None, layer=None):
+def predict_labels(graph, episode, layer=None):
     """Class probabilities for every query at one level.
 
     Scores for class c aggregate the query's edge values to the visible
-    supports of c (self-edges cannot occur: a query is never a support).
+    supports of c (self-edges cannot occur: a query is never a support)
+    in the one channel ``readout_for`` picks from the enabled channels.
     The dissimilar channel is read as its complement, one minus the
     value, so larger always means more alike. Rows are softmax over the
-    episode's classes, ordered by class slot. The channel defaults to
-    ``readout_for`` of the enabled channels.
+    episode's classes, ordered by class slot.
 
     The probabilities are values, recorded on no tape: the training
     loss differentiates the same scores through ``T.readout_ce``.
@@ -58,7 +57,7 @@ def predict_labels(graph, episode, channel=None, layer=None):
     if not (1 <= layer <= graph.num_layers):
         raise ConfigError(f"layer must be in 1..{graph.num_layers}, got {layer}")
     return T.Tensor(T.readout_probs(graph.edges[layer].data,
-                                    **_readout(graph, episode, channel)))
+                                    **_readout(graph, episode)))
 
 
 def hard_labels(pred_rows):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import make_rng
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, require_count
 from .graph import (
     CHANNEL_ORDER,
     DENOM_EPS,
@@ -86,11 +86,9 @@ class ModelConfig:
     dtype: str = "float64"
 
     def __post_init__(self):
-        if min(self.feature_dim, self.hidden_dim, self.encoder_dim,
-               self.metric_hidden) < 1:
-            raise ConfigError("dimensions must be positive")
-        if self.layers < 1:
-            raise ConfigError(f"need at least one layer, got {self.layers}")
+        for name in ("feature_dim", "layers", "hidden_dim", "encoder_dim",
+                     "metric_hidden"):
+            require_count(name, getattr(self, name))
         if not 0.0 <= self.leaky_slope <= 1.0:
             raise ConfigError(
                 f"leaky_slope must be in [0, 1], got {self.leaky_slope}"
@@ -140,8 +138,6 @@ class ModelConfig:
 
     @staticmethod
     def from_dict(d):
-        d = dict(d)
-        d["channels"] = tuple(d.get("channels", FULL_CHANNELS))
         return ModelConfig(**d)
 
 
@@ -335,8 +331,8 @@ def edge_update(u_l, v_l, e_prev, params, layer, rel_scores=None,
     Score matrices may be passed in (stub networks in tests); by default
     they are computed from this layer's features. ``stacks``, when
     given, is a list the affinity stack is appended to, for the
-    structure loss. Returns the retained scores with the new edge
-    tensor.
+    structure loss. Returns the two score matrices (None for a net the
+    channels do not use) with the new edge tensor.
     """
     cfg = params.config
     if rel_scores is None and cfg.needs_relative_net:
@@ -355,18 +351,17 @@ class EpisodeGraph:
     """Everything the forward pass produced, level by level.
 
     Index 0 of ``vertex_feats``/``diff_feats``/``edges`` is the initial
-    graph; index l is the state after layer l. The affinity lists have
-    one entry per layer (entry l-1 belongs to layer l): the raw metric
-    scores, and the (..., M, M, C) affinity stacks the edge updates
-    rescaled by, which the structure-preservation loss reads.
+    graph; index l is the state after layer l. ``affinities`` has one
+    entry per layer (entry l-1 belongs to layer l): the (..., M, M, C)
+    affinity stack that layer's edge update rescaled by
+    (``stack_channels`` of its metric scores), which the
+    structure-preservation loss reads.
     """
 
     channels: tuple
     vertex_feats: list
     diff_feats: list
     edges: list
-    rel_affinities: list
-    pair_affinities: list
     affinities: list = field(default_factory=list)
 
     @property
@@ -405,25 +400,20 @@ def forward(episode, params):
     blind0 = channel_normalize(init_edges(
         episode, cfg.channels, rel_channel=rel0, dtype=cfg.np_dtype,
         labels=False))
-    us, vs, es = [u0], [v0], [e0]
-    rel_affs, pair_affs, stacks = [], [], []
+    us, vs, es, stacks = [u0], [v0], [e0], []
     for layer in range(cfg.layers):
         pool = blind0 if layer == 0 else es[-1]
         u_l, v_l = vertex_update(us[-1], vs[-1], pool, params, layer)
-        rel_s, pair_s, e_l = edge_update(u_l, v_l, es[-1], params, layer,
-                                         stacks=stacks)
+        _, _, e_l = edge_update(u_l, v_l, es[-1], params, layer,
+                                stacks=stacks)
         us.append(u_l)
         vs.append(v_l)
         es.append(e_l)
-        rel_affs.append(rel_s)
-        pair_affs.append(pair_s)
     return EpisodeGraph(
         channels=cfg.channels,
         vertex_feats=us,
         diff_feats=vs,
         edges=es,
-        rel_affinities=rel_affs,
-        pair_affinities=pair_affs,
         affinities=stacks,
     )
 

@@ -14,7 +14,7 @@ import numpy as np
 from . import tensor as T
 from . import losses
 from .data import make_rng, sample_episode, stack_episodes
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, require_count
 from .graph import parse_variant
 from .model import ModelConfig, ModelParams, config_hash, forward, init_params
 
@@ -47,8 +47,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_way < 2 or self.k_shot < 1 or self.n_query < 1:
-            raise ConfigError("episode sizes must be positive (n_way >= 2)")
+        for name, least in (("n_way", 2), ("k_shot", 1), ("n_query", 1),
+                            ("batch_episodes", 1), ("total_iterations", 0),
+                            ("eval_every", 1), ("eval_episodes", 1)):
+            require_count(name, getattr(self, name), least)
         if not (0.0 < self.label_fraction <= 1.0):
             raise ConfigError(
                 f"label_fraction must be in (0, 1], got {self.label_fraction}"
@@ -59,12 +61,6 @@ class TrainConfig:
             raise ConfigError("learning_rate must be positive")
         if self.weight_decay < 0:
             raise ConfigError("weight_decay must be >= 0")
-        if self.batch_episodes < 1:
-            raise ConfigError("batch_episodes must be >= 1")
-        if self.total_iterations < 0:
-            raise ConfigError("total_iterations must be >= 0")
-        if self.eval_every < 1 or self.eval_episodes < 1:
-            raise ConfigError("eval_every and eval_episodes must be >= 1")
 
     def to_dict(self):
         out = asdict(self)
@@ -199,17 +195,6 @@ def load_checkpoint(path):
     return ckpt
 
 
-def _require_count(name, value):
-    """``value``, checked to be an integer of at least 1; anything else
-    is a ConfigError naming it. A bool is no count, as for the CLI's
-    config keys; numpy integers are."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ConfigError(f"{name} must be >= 1, got {value}")
-    return value
-
-
 def _resolve_workers(workers):
     """``workers``, or the cores this process may run on when None."""
     if workers is None:
@@ -217,7 +202,7 @@ def _resolve_workers(workers):
             return len(os.sched_getaffinity(0))
         except AttributeError:   # no affinity call on this platform
             return os.cpu_count() or 1
-    return _require_count("workers", workers)
+    return require_count("workers", workers)
 
 
 def episode_groups(episodes):
@@ -425,7 +410,7 @@ def evaluate(ds, params, cfg, episodes, seed=None, workers=None):
     and any error are the same for every ``workers``. Mean and
     half-width are taken over the per-episode accuracies.
     """
-    _require_count("episodes", episodes)
+    require_count("episodes", episodes)
     workers = _resolve_workers(workers)
     rng = make_rng(cfg.seed if seed is None else seed, _STREAM_EVAL)
     eps = [
@@ -527,7 +512,15 @@ def train(ds_train, ds_val, cfg: TrainConfig, workers=None, log=None):
     return best, metrics
 
 
-ABLATION_AXES = ("variant", "layers", "structure_weight", "label_fraction")
+# the value grid each ablation axis sweeps unless told otherwise; its
+# keys are the axes
+DEFAULT_AXIS_VALUES = {
+    "variant": ["d", "s", "r", "rd", "rs", "full"],
+    "layers": [1, 2, 3],
+    "structure_weight": [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7],
+    "label_fraction": [0.2, 0.4, 1.0],
+}
+ABLATION_AXES = tuple(DEFAULT_AXIS_VALUES)
 
 
 def apply_axis(cfg: TrainConfig, axis, value):

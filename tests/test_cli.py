@@ -5,6 +5,7 @@ import typing
 import numpy as np
 import pytest
 
+from hospgnn import losses
 from hospgnn.cli import (
     CONFIG_KEYS,
     EPISODE_OPTIONS,
@@ -18,6 +19,8 @@ from hospgnn.cli import (
 from hospgnn.data import load_dataset
 from hospgnn.model import ModelConfig
 from hospgnn.train import TrainConfig, load_checkpoint
+
+from test_train import nan_valued_loss
 
 FAST_MODEL = [
     "--layers", "2", "--hidden-dim", "8", "--encoder-dim", "8",
@@ -182,6 +185,18 @@ def test_results_do_not_depend_on_the_worker_count(tmp_path, capsys):
     for name in a.arrays:
         assert a.arrays[name].tobytes() == b.arrays[name].tobytes(), name
     assert shown[0] == shown[1] and shown[0].startswith("accuracy over 3 ")
+
+
+def test_non_finite_loss_exits_3(tmp_path, data_files, monkeypatch, capsys):
+    monkeypatch.setattr(losses, "total_loss",
+                        nan_valued_loss(losses.total_loss))
+    rc = main(["train", "--train", str(data_files["train"]),
+               "--val", str(data_files["val"]),
+               "--out-dir", str(tmp_path / "run"),
+               *FAST_MODEL, *FAST_TRAIN, "--seed", "5", "--workers", "1"])
+    assert rc == 3
+    assert capsys.readouterr().err == \
+        "numeric failure: non-finite loss nan at iteration 1\n"
 
 
 class TestEval:

@@ -17,7 +17,7 @@ from hospgnn.losses import (
     report_losses,
     total_loss,
 )
-from hospgnn.model import EpisodeGraph, forward
+from hospgnn.model import EpisodeGraph, forward, metric_scores
 
 
 def tiny_task(visible=(True, True)):
@@ -39,7 +39,6 @@ def graph_from_edges(layer_edges, channels=("similar",)):
         channels=channels,
         vertex_feats=[], diff_feats=[],
         edges=edges,
-        rel_affinities=[], pair_affinities=[],
     )
 
 
@@ -172,20 +171,15 @@ class TestReadout:
             with pytest.raises(ConfigError):
                 predict_labels(g, tiny_task(), layer=bad)
 
-    def test_disabled_channel_rejected(self):
-        g = graph_from_edges([np.zeros((4, 4, 1)),
-                              similar_layer([0.5, 0.5], [0.5, 0.5])])
-        with pytest.raises(ConfigError):
-            predict_labels(g, tiny_task(), channel="relative")
-
     def test_default_channel_follows_the_readout_rule(self):
         channels = ("relative", "dissimilar")
         layer = np.random.default_rng(3).uniform(0.1, 0.9, size=(4, 4, 2))
         g = graph_from_edges([np.zeros((4, 4, 2)), layer], channels=channels)
+        rel = graph_from_edges([np.zeros((4, 4, 1)), layer[..., :1]],
+                               channels=("relative",))
         assert readout_for(channels) == "relative"
-        assert np.array_equal(
-            predict_labels(g, tiny_task()).data,
-            predict_labels(g, tiny_task(), channel="relative").data)
+        assert np.array_equal(predict_labels(g, tiny_task()).data,
+                              predict_labels(rel, tiny_task()).data)
 
     def test_query_slots(self):
         assert query_slots(tiny_task()).tolist() == [0, 1]
@@ -234,8 +228,11 @@ class TestStructureLoss:
         want_total = 0.0
         for layer in range(1, graph.num_layers + 1):
             prev = graph.edges[layer - 1].data
-            rel = graph.rel_affinities[layer - 1].data
-            pair = graph.pair_affinities[layer - 1].data
+            # the raw scores, recomputed apart from the stored stack
+            rel = metric_scores(tiny_params, f"layer{layer - 1}.relnet",
+                                graph.diff_feats[layer]).data
+            pair = metric_scores(tiny_params, f"layer{layer - 1}.pairnet",
+                                 graph.vertex_feats[layer]).data
             by_name = {"relative": rel, "similar": pair,
                        "dissimilar": 1.0 - pair}
             terms = per_layer_manifold(graph)[layer - 1]

@@ -503,8 +503,7 @@ class TestForward:
         assert len(graph.vertex_feats) == L + 1
         assert len(graph.diff_feats) == L + 1
         assert len(graph.edges) == L + 1
-        assert len(graph.rel_affinities) == L
-        assert len(graph.pair_affinities) == L
+        assert len(graph.affinities) == L
         assert graph.m == tiny_episode.m
 
     def test_forward_is_deterministic(self, tiny_episode, tiny_params):

@@ -3,6 +3,7 @@ import gc
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -38,6 +39,19 @@ from hospgnn.train import (
 
 from naive_ref import NaiveModel
 from test_acceptance import C5_MODEL, C5_TRAIN
+
+
+def nan_valued_loss(total_loss):
+    """``total_loss`` plus a NaN-valued term whose backward gives zeros:
+    the loss is NaN, every parameter gradient stays finite."""
+
+    def poisoned(ce, structure, weight):
+        total = total_loss(ce, structure, weight)
+        nan = T._emit(np.full(total.shape, np.nan, dtype=total.dtype),
+                      (total,), lambda g: (np.zeros_like(g),))
+        return T.add(total, nan)
+
+    return poisoned
 
 
 def small_cfg(**kw):
@@ -84,6 +98,21 @@ class TestTrainConfig:
     def test_bad_values_rejected(self, kw):
         with pytest.raises(ConfigError):
             small_cfg(**kw)
+
+    @pytest.mark.parametrize("kw", [
+        {"batch_episodes": 2.0}, {"total_iterations": 3.0},
+        {"eval_every": True}, {"eval_episodes": 2.5},
+        {"model_kw": {"layers": 2.0}}, {"model_kw": {"hidden_dim": 8.0}},
+        {"model_kw": {"feature_dim": True}}, {"n_way": 1},
+    ], ids=repr)
+    def test_counts_are_checked_when_the_config_is_built(self, kw):
+        (name,) = kw.get("model_kw", kw)
+        with pytest.raises(ConfigError, match=rf"^{name} must be "):
+            small_cfg(**kw)
+        # numpy integers are counts, and no iteration is one too
+        counted = {name: np.int64(2 if name == "n_way" else 8)}
+        small_cfg(**({"model_kw": counted} if "model_kw" in kw else counted))
+        assert small_cfg(total_iterations=0).total_iterations == 0
 
 
 class TestAdam:
@@ -326,6 +355,36 @@ class TestTrainLoop:
                            match=r"gradient of encoder\.w at iteration 1$"):
             train(train_pool, val_pool, small_cfg(total_iterations=2))
 
+    def test_non_finite_loss_stops_before_the_step(self, monkeypatch):
+        # three groups, so two workers run two shares; each worker forks
+        # with the poisoned loss
+        train_module = sys.modules["hospgnn.train"]
+        pool, cfg = _train_setup((2, 5, 3), 20)
+        made = []
+
+        def kept_init(config, seed=0):
+            made.append(init_params(config, seed=seed))
+            return made[-1]
+
+        monkeypatch.setattr(losses, "total_loss",
+                            nan_valued_loss(losses.total_loss))
+        monkeypatch.setattr(train_module, "init_params", kept_init)
+        fresh = init_params(cfg.model, seed=cfg.seed)
+        try:
+            for workers in (1, 2):
+                _WORKERS.close()
+                made.clear()
+                with pytest.raises(NumericError, match=r"^non-finite loss "
+                                   r"nan at iteration 1$"):
+                    train(pool, pool, cfg, workers=workers)
+                assert len(_live_workers()) == workers - 1
+                (params,) = made
+                for name in fresh.names():
+                    assert np.array_equal(params.t(name).data,
+                                          fresh.t(name).data), name
+        finally:
+            _WORKERS.close()
+
     def test_target_accuracy_stops_early(self, train_pool, val_pool):
         cfg = small_cfg(total_iterations=50, eval_every=1,
                         target_accuracy=0.0)
@@ -557,6 +616,39 @@ class TestEvaluateWorkers:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert got == expected
+
+    def test_a_lost_worker_is_replaced(self, monkeypatch):
+        train_module = sys.modules["hospgnn.train"]
+        pool, cfg, params = _m16_eval_setup()
+        episodes = M16_FOUR_GROUPS
+        clean = evaluate(pool, params, cfg, episodes, seed=6, workers=1)
+        real = train_module._share_accuracies
+        here = os.getpid()
+
+        def dies_in_a_worker(groups, params):
+            if os.getpid() != here:
+                os._exit(1)
+            return real(groups, params)
+
+        # the worker forks with the patch: it exits mid-share
+        _WORKERS.close()
+        with monkeypatch.context() as patch:
+            patch.setattr(train_module, "_share_accuracies", dies_in_a_worker)
+            with pytest.raises(RuntimeError, match=r"^a worker process "
+                               r"exited mid-share$"):
+                evaluate(pool, params, cfg, episodes, seed=6, workers=2)
+        assert _WORKERS.procs == []
+        assert evaluate(pool, params, cfg, episodes, seed=6,
+                        workers=2) == clean
+        # an idle worker killed between calls is replaced by the next one
+        (idle,) = _WORKERS.procs
+        os.kill(idle.pid, signal.SIGKILL)
+        idle.join(timeout=10)
+        assert not idle.is_alive()
+        assert evaluate(pool, params, cfg, episodes, seed=6,
+                        workers=2) == clean
+        (replaced,) = _WORKERS.procs
+        assert replaced is not idle and replaced.is_alive()
 
     def test_workers_are_capped_at_the_group_count(self):
         pool, cfg, params = _m16_eval_setup()
