@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, FormatError
+from .errors import DataError, FormatError, require_count
 
 SPLITS = ("train", "validation", "test")
 
@@ -22,7 +22,9 @@ HEADER_VERSION = "v1"
 
 def make_rng(seed, *tags):
     """An independent generator for (seed, purpose) so parallel samplers
-    and repeated phases never share a stream."""
+    and repeated phases never share a stream. ``seed`` is a count, so
+    a negative or fractional seed is a ConfigError."""
+    require_count("seed", seed, least=0)
     return np.random.default_rng([int(seed), *[int(t) for t in tags]])
 
 

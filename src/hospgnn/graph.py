@@ -61,12 +61,6 @@ def readout_for(channels):
                 if ch in channels)
 
 
-def channel_index(channels, name):
-    if name not in channels:
-        raise ConfigError(f"channel {name!r} not enabled (have {channels})")
-    return channels.index(name)
-
-
 def relative_features(feats):
     """Chained differences: row i becomes row i minus the next row,
     wrapping the last row around to the first (``u - roll(u, -1)``), in

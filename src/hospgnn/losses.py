@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DataError
-from .graph import channel_index, complemented, readout_for
+from .graph import complemented, readout_for
 
 
 def _readout(graph, episode):
@@ -25,7 +25,7 @@ def _readout(graph, episode):
     (``readout_for`` of the graph's channels, as its complement if
     ``complemented``), and the constant visible-support-by-class
     indicator, (..., M, n)."""
-    idx = channel_index(graph.channels, readout_for(graph.channels))
+    idx = graph.channels.index(readout_for(graph.channels))
     visible = episode.label_mask
     indicator = np.zeros(visible.shape + (episode.n_way,),
                          dtype=graph.edges[0].dtype)

@@ -667,7 +667,9 @@ def symmetric_from_pairs(s, m):
 # scratch stays small and is reused, where whole (N, h) temporaries are
 # fresh pages on every call, whose page faults can cost more than the
 # arithmetic on them. ``mlp_scores`` keeps no (N, h) array for backward
-# either: its VJP rebuilds each block's hidden activations in scratch.
+# either: its block kernel's VJP rebuilds each block's hidden
+# activations in scratch. A call on rows one wide that spans more than
+# one block runs on a table of the net's linear pieces instead.
 BLOCK_ROWS = 1024
 
 
@@ -711,37 +713,13 @@ def _hidden_blocks(rows_x, layers, slope, hidden, temp, negative=None):
         yield rows, size
 
 
-def mlp_scores(x, w0, b0, w1, b1, w2, b2, slope=0.01, margin=0.0):
-    """A three-layer score net on the rows of ``x``, as one tape node.
-
-    Two leaky-ReLU layers (0 <= slope <= 1) and a sigmoid head with a
-    single output unit; each (..., N) score of the (..., N, d) rows is
-    squeezed affinely into [margin, 1 - margin]. Values and gradients
-    equal those of the same net built from
-    ``matmul``/``add``/``leaky_relu``/``sigmoid``/``mul`` up to
-    rounding. The rows of all leading axes together are processed in
-    blocks of BLOCK_ROWS, through block scratch only.
-
-    For backward a recorded call keeps the input rows, the head values
-    and a copy of the six weights, nothing of size N times a hidden
-    width. The VJP rebuilds each block's two hidden activations and
-    their masks of negative inputs from these, bit for bit as the
-    forward computed them; the copy keeps an in-place weight edit made
-    before backward out of the gradient.
-    """
-    inputs = tuple(_as_tensor(t) for t in (x, w0, b0, w1, b1, w2, b2))
-    x, head_w = inputs[0], inputs[5]
-    if x.ndim < 2 or head_w.shape[1:] != (1,):
-        raise ShapeError(
-            f"mlp_scores expects (..., N, d) rows and a one-unit head, got "
-            f"{x.shape} and {head_w.shape}")
-    if not 0.0 <= slope <= 1.0:
-        raise ValueError(f"leaky slope must be in [0, 1], got {slope}")
-    rows_x = x.data.reshape(-1, x.shape[-1])
-    n, dtype = rows_x.shape[0], x.dtype
-    w0, b0, w1, b1, w2, b2 = (t.data.copy() for t in inputs[1:])
+def _block_scores(rows_x, weights, slope):
+    """The net's head inputs z on the (N, d) ``rows_x``, block by block,
+    and the VJP from their gradient to those of the rows and weights."""
+    w0, b0, w1, b1, w2, b2 = weights
     layers = ((w0, b0), (w1, b1))
     widths = [w.shape[1] for w, _ in layers]
+    n, dtype = rows_x.shape[0], rows_x.dtype
     block = min(n, BLOCK_ROWS)
 
     def scratch(dtype, sets):
@@ -754,15 +732,12 @@ def mlp_scores(x, w0, b0, w1, b1, w2, b2, slope=0.01, margin=0.0):
     for rows, size in _hidden_blocks(rows_x, layers, slope, hidden, temp):
         np.dot(hidden[1][:size], w2[:, 0], out=z[rows])
     z += b2
-    head = _sigmoid_values(z)
-    squeeze = 1.0 - 2.0 * margin
-    data = (margin + squeeze * head).reshape(x.shape[:-1])
 
-    def vjp(g):
-        gz = ((g.reshape(-1) * squeeze) * head * (1.0 - head))[:, None]
-        grads = [np.zeros_like(t.data) for t in inputs[1:]]
+    def vjp(gz, want_x):
+        gz = gz[:, None]
+        grads = [np.zeros_like(w) for w in weights]
         gw0, gb0, gw1, gb1, gw2, gb2 = grads
-        gx = np.empty_like(rows_x) if x.requires_grad else None
+        gx = np.empty_like(rows_x) if want_x else None
         ones = np.ones(block, dtype=gz.dtype)
         # one set of block buffers per call, reused by every block: the
         # rebuild's temporaries turn into the leaky-ReLU factors, and each
@@ -786,6 +761,157 @@ def mlp_scores(x, w0, b0, w1, b1, w2, b2, slope=0.01, margin=0.0):
             if gx is not None:
                 np.dot(g0, w0.T, out=gx[rows])
         gb2 += gz.sum()
+        return gx, grads
+
+    return z, vjp
+
+
+def _kinks(a, c, lo, hi):
+    """The zeros -c/a of the affine maps a x + c with a != 0 that lie in
+    [lo, hi]."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = -c / a
+    return t[(a != 0) & (lo <= t) & (t <= hi)]
+
+
+def _distinct(values):
+    """The distinct ``values``, sorted. Not np.unique: its first call
+    imports numpy.ma, a megabyte of resident memory."""
+    values = np.sort(values)
+    return values[np.diff(values, prepend=-np.inf) > 0]
+
+
+def _cells(points, lo, hi):
+    """The cells that the sorted ``points`` cut [lo, hi] into, in order:
+    the piece below the first point, the point itself, the next piece,
+    and so on. Cell k spans [bounds[k], bounds[k + 1]] and is read at
+    reads[k], its middle, which for a point cell is the point."""
+    bounds = np.concatenate([[lo], np.repeat(points, 2), [hi]])
+    return bounds, bounds[:-1] + 0.5 * (bounds[1:] - bounds[:-1])
+
+
+def _pieces(reads, net, slope):
+    """The scalar-input net read at each of ``reads``: both layers'
+    leaky-ReLU factors, by the block kernel's rule (``slope`` below 0,
+    1 elsewhere), and the layer-1 pre-activation as a x + c, exact over
+    the cell around each read where those factors hold."""
+    w0, b0, w1, b1 = net[:4]
+    f0 = np.where(np.outer(reads, w0) + b0 < 0, slope, 1.0)
+    a = (f0 * w0) @ w1
+    c = (f0 * b0) @ w1 + b1
+    f1 = np.where(a * reads[:, None] + c < 0, slope, 1.0)
+    return f0, a, c, f1
+
+
+def _row_cells(rows, points):
+    """Each row's cell among ``_cells(points, ...)``: a row equal to a
+    point is that point's cell, any other the piece it lies in."""
+    cells = np.searchsorted(points, rows)
+    on = np.append(points, np.nan)[cells] == rows
+    cells *= 2
+    cells += on
+    return cells
+
+
+def _table_scores(rows, weights, slope):
+    """``_block_scores`` for (N,) scalar ``rows``, from a table of the
+    net's linear pieces.
+
+    Two leaky-ReLU layers make the net piecewise linear in its input.
+    The layer-0 kinks, and the layer-1 kinks within each layer-0 cell,
+    cut the rows' range into cells; each kink is a cell of its own, as
+    a row on it (the zero row of the diagonal when all layer-0 biases
+    are 0) takes the factors of a pre-activation of exactly 0. On cell
+    k, z = alpha[k] x + beta[k], and the VJP sums the output gradient
+    per cell to get every weight gradient from (cells, h) tables."""
+    dtype = rows.dtype
+    net = tuple(np.asarray(w, dtype=np.float64) for w in (
+        weights[0][0], *weights[1:4], weights[4][:, 0], weights[5][0]))
+    w0, b0, w1, _, w2, b2 = net
+    lo, hi = float(rows.min()), float(rows.max())
+    first = _distinct(_kinks(w0, b0, lo, hi))
+    bounds, reads = _cells(first, lo, hi)
+    _, a, c, _ = _pieces(reads, net, slope)
+    points = _distinct(np.concatenate(
+        [first, _kinks(a, c, bounds[:-1, None], bounds[1:, None])]))
+    reads = _cells(points, lo, hi)[1]
+    f0, a, c, f1 = _pieces(reads, net, slope)
+    alpha = ((f1 * a) @ w2).astype(dtype)
+    beta = ((f1 * c) @ w2 + b2).astype(dtype)
+    cells = _row_cells(rows, points)
+    z = alpha[cells]
+    z *= rows
+    z += beta[cells]
+
+    def vjp(gz, want_x):
+        # per cell, the sums of gz and of gz x; on cell k the layer-1
+        # activation is f1 (a x + c), and a row's gradient with respect
+        # to the layer-1 (layer-0) pre-activation is gz q (gz r)
+        cells = _row_cells(rows, points)
+        g = np.bincount(cells, weights=gz, minlength=reads.size)
+        gh = np.bincount(cells, weights=gz * rows, minlength=reads.size)
+        q = f1 * w2
+        r = f0 * (q @ w1.T)
+        grads = (gh @ r, g @ r,
+                 (f0 * (np.outer(gh, w0) + np.outer(g, b0))).T @ q, g @ q,
+                 (f1 * (gh[:, None] * a + g[:, None] * c)).sum(axis=0),
+                 gz.sum())
+        grads = [np.asarray(v, dtype=w.dtype).reshape(w.shape)
+                 for v, w in zip(grads, weights)]
+        gx = (gz * alpha[cells])[:, None] if want_x else None
+        return gx, grads
+
+    return z, vjp
+
+
+def mlp_scores(x, w0, b0, w1, b1, w2, b2, slope=0.01, margin=0.0):
+    """A three-layer score net on the rows of ``x``, as one tape node.
+
+    Two leaky-ReLU layers (0 <= slope <= 1) and a sigmoid head with a
+    single output unit; each (..., N) score of the (..., N, d) rows is
+    squeezed affinely into [margin, 1 - margin]. Values and gradients
+    equal those of the same net built from
+    ``matmul``/``add``/``leaky_relu``/``sigmoid``/``mul`` up to
+    rounding. The rows of all leading axes together take one of two
+    paths, chosen by shape alone:
+
+    - rows one wide (the pair distance) that span more than one block of
+      BLOCK_ROWS run on a table of the net's linear pieces
+      (``_table_scores``): per row, one search for its cell and one
+      multiply-add, so the cost grows with N, not N times h squared;
+    - all other calls (one block at most, or rows wider than one) run
+      the block kernel (``_block_scores``) through block scratch only.
+
+    For backward a recorded call keeps the input rows, the head values
+    and a copy of the six weights, nothing of size N times a hidden
+    width; the table path also keeps its table, a few (cells, h)
+    arrays. The block kernel's VJP rebuilds each block's two hidden
+    activations and their masks of negative inputs from these, bit for
+    bit as the forward computed them, and the table path's VJP finds
+    each row's cell again; the copy keeps an in-place weight edit made
+    before backward out of the gradient.
+    """
+    inputs = tuple(_as_tensor(t) for t in (x, w0, b0, w1, b1, w2, b2))
+    x, head_w = inputs[0], inputs[5]
+    if x.ndim < 2 or head_w.shape[1:] != (1,):
+        raise ShapeError(
+            f"mlp_scores expects (..., N, d) rows and a one-unit head, got "
+            f"{x.shape} and {head_w.shape}")
+    if not 0.0 <= slope <= 1.0:
+        raise ValueError(f"leaky slope must be in [0, 1], got {slope}")
+    rows_x = x.data.reshape(-1, x.shape[-1])
+    weights = tuple(t.data.copy() for t in inputs[1:])
+    if x.shape[-1] == 1 and rows_x.shape[0] > BLOCK_ROWS:
+        z, backward = _table_scores(rows_x[:, 0], weights, slope)
+    else:
+        z, backward = _block_scores(rows_x, weights, slope)
+    head = _sigmoid_values(z)
+    squeeze = 1.0 - 2.0 * margin
+    data = (margin + squeeze * head).reshape(x.shape[:-1])
+
+    def vjp(g):
+        gz = (g.reshape(-1) * squeeze) * head * (1.0 - head)
+        gx, grads = backward(gz, x.requires_grad)
         return (None if gx is None else gx.reshape(x.shape), *grads)
 
     return _emit(data, inputs, vjp)

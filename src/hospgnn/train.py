@@ -49,7 +49,8 @@ class TrainConfig:
     def __post_init__(self):
         for name, least in (("n_way", 2), ("k_shot", 1), ("n_query", 1),
                             ("batch_episodes", 1), ("total_iterations", 0),
-                            ("eval_every", 1), ("eval_episodes", 1)):
+                            ("eval_every", 1), ("eval_episodes", 1),
+                            ("seed", 0)):
             require_count(name, getattr(self, name), least)
         if not (0.0 < self.label_fraction <= 1.0):
             raise ConfigError(

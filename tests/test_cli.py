@@ -213,6 +213,17 @@ class TestEval:
         shown = capsys.readouterr().out
         assert "accuracy" in shown
 
+    def test_negative_seed_is_config_error(self, tmp_path, data_files,
+                                           capsys):
+        out = run_train(data_files, tmp_path / "run")
+        rc = main(["eval", "--checkpoint", str(out / "checkpoint.npz"),
+                   "--data", str(data_files["test"]), "--episodes", "2",
+                   "--seed", "-1", "--workers", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "seed must be >= 0, got -1" in err
+        assert "Traceback" not in err
+
     def test_missing_checkpoint_is_data_error(self, tmp_path, data_files):
         rc = main(["eval", "--checkpoint", str(tmp_path / "no.npz"),
                    "--data", str(data_files["test"])])

@@ -8,7 +8,6 @@ from hospgnn.errors import ConfigError, DegenerateEpisodeError, ShapeError
 from hospgnn.graph import (
     CHANNEL_ORDER,
     FULL_CHANNELS,
-    channel_index,
     init_edges,
     init_relative_channel,
     label_agreement_masks,
@@ -44,12 +43,6 @@ class TestVariants:
     def test_rejects_garbage(self, text):
         with pytest.raises(ConfigError):
             parse_variant(text)
-
-    def test_channel_index(self):
-        assert channel_index(FULL_CHANNELS, "dissimilar") == 2
-        assert channel_index(("similar",), "similar") == 0
-        with pytest.raises(ConfigError):
-            channel_index(("similar",), "relative")
 
 
 class TestRelativeFeatures:

@@ -114,6 +114,14 @@ class TestTrainConfig:
         small_cfg(**({"model_kw": counted} if "model_kw" in kw else counted))
         assert small_cfg(total_iterations=0).total_iterations == 0
 
+    @pytest.mark.parametrize("seed", [-1, 1.5], ids=repr)
+    def test_seed_is_a_count(self, seed):
+        with pytest.raises(ConfigError, match=r"^seed must be "):
+            small_cfg(seed=seed)
+        with pytest.raises(ConfigError, match=r"^seed must be "):
+            make_rng(seed, 0)
+        assert small_cfg(seed=np.int64(0)).seed == 0
+
 
 class TestAdam:
     def params(self):
