@@ -584,12 +584,33 @@ def _stacked_pairs(m, count):
     return out
 
 
+# a pair whose squared distance s is at most this share of its rows'
+# summed squared norms n_i + n_j is near: the Gram product's cancellation
+# error, a few eps (n_i + n_j), would be a large share of s there
+NEAR_PAIR = 2.0 ** -6
+
+
 def pair_distances(a):
     """Euclidean distance between every unordered pair of rows of an
     (..., M, d) tensor, in the layout of ``pair_absdiff``: (..., P + 1, 1)
     rows in ``pair_index`` order plus one zero row for the diagonal.
-    Built from explicit row differences, as the inner-product identity
-    loses precision catastrophically near zero.
+
+    Two paths, picked from the input's shape alone, as ``mlp_scores``
+    picks. A call of at most one row block of pairs (every stacked group
+    of ``episode_groups``) forms explicit row differences. A larger call
+    takes s = n_i + n_j - 2 G_ij from each episode's norms n and Gram
+    matrix G, both in float64 (float32 inputs are widened; their products
+    are exact there). That identity loses precision catastrophically as
+    s nears 0, so a pair is near, and is recomputed from explicit row
+    differences, unless s > NEAR_PAIR (n_i + n_j) and n_i + n_j is at
+    most a quarter of the input dtype's largest value. Written so, NaN,
+    infinite and overflowing pairs are near too, and near, non-finite and
+    diagonal rows are bitwise the explicit kernel's; duplicate rows give
+    exactly 0. Any other pair gets sqrt(s) cast to the input dtype, with
+    |error of s| <= (2 gamma_d + 3 eps)(n_i + n_j) <= (2 gamma_d + 3 eps)
+    / NEAR_PAIR * s, gamma_d = d eps / (1 - d eps), eps = 2**-53: about
+    5e-13 relative on s and 2.4e-13 on the distance for d = 32, barring
+    underflow of the products, which the explicit kernel suffers too.
 
     Backward forms ``sum_j c_ij (a_i - a_j)``, c_ij = c_ji = g_p / d_ij
     for pair p = (i, j), as one product with the (M, M) matrix c; its
@@ -606,21 +627,14 @@ def pair_distances(a):
     left, right = _stacked_pairs(m, count)
     f = a.data.reshape(count, m, d)
     flat = f.reshape(count * m, d)
-    # the (0, 0) pair closing each episode's rows is the exact zero of
-    # the diagonal: a row minus itself
     dist = np.empty(left.size, dtype=f.dtype)
-    block = min(dist.size, BLOCK_ROWS)
-    diff, other = np.empty((2, block, d), dtype=f.dtype)
-    # mode="clip" because the indices are valid and "raise" would copy
-    # each block through a temporary
-    for rows in row_blocks(dist.size):
-        size = rows.stop - rows.start
-        np.take(flat, left[rows], axis=0, out=diff[:size], mode="clip")
-        np.take(flat, right[rows], axis=0, out=other[:size], mode="clip")
-        np.subtract(diff[:size], other[:size], out=diff[:size])
-        np.multiply(diff[:size], diff[:size], out=diff[:size])
-        np.sum(diff[:size], axis=1, out=dist[rows])
-    np.sqrt(dist, out=dist)
+    if dist.size <= BLOCK_ROWS:
+        _explicit_distances(flat, left, right, dist)
+    else:
+        near = _gram_distances(f, pairs, dist.reshape(count, -1))
+        part = np.empty(near.size, dtype=f.dtype)
+        _explicit_distances(flat, left[near], right[near], part)
+        dist[near] = part
 
     def vjp(g):
         per_pair = np.zeros_like(dist)
@@ -631,6 +645,57 @@ def pair_distances(a):
         return (grad.reshape(a.shape),)
 
     return _emit(dist.reshape(lead + (pair_rows(m), 1)), (a,), vjp)
+
+
+def _explicit_distances(flat, left, right, out):
+    """Writes into ``out`` the distance between rows ``left`` and
+    ``right`` of the (N, d) ``flat``, from explicit row differences,
+    block by block. A row and itself give exactly 0 when finite."""
+    d = flat.shape[1]
+    block = min(out.size, BLOCK_ROWS)
+    diff, other = np.empty((2, block, d), dtype=flat.dtype)
+    # mode="clip" because the indices are valid and "raise" would copy
+    # each block through a temporary
+    for rows in row_blocks(out.size):
+        size = rows.stop - rows.start
+        np.take(flat, left[rows], axis=0, out=diff[:size], mode="clip")
+        np.take(flat, right[rows], axis=0, out=other[:size], mode="clip")
+        np.subtract(diff[:size], other[:size], out=diff[:size])
+        np.multiply(diff[:size], diff[:size], out=diff[:size])
+        np.sum(diff[:size], axis=1, out=out[rows])
+    np.sqrt(out, out=out)
+
+
+def _gram_distances(f, pairs, out):
+    """Writes into ``out``, (count, P + 1) in ``pair_distances``' layout,
+    the distances of the (count, m, d) rows ``f`` that the Gram identity
+    gives, those of pairs that are not near, and the diagonal's; returns
+    the flat positions in ``out`` of the near pairs, left for the
+    explicit kernel."""
+    c = f.astype(np.float64, copy=False)
+    # non-finite and overflowing rows make NaN or inf here, which the
+    # near test catches; the explicit kernel warns about them as before.
+    # In place where it can be: each fresh (count, P) temporary raised an
+    # M = 160 evaluation's peak RSS
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.einsum("cmd,cmd->cm", c, c)
+        s = np.take(np.matmul(c, c.transpose(0, 2, 1)).reshape(len(c), -1),
+                    pairs.upper, axis=1)
+        s *= -2.0
+        total = np.take(norms, pairs.rows, axis=1)
+        total += np.take(norms, pairs.cols, axis=1)
+        s += total
+        far = total <= np.finfo(f.dtype).max / 4
+        total *= NEAR_PAIR
+        far &= s > total
+        np.sqrt(s, out=s)
+        out[:, :-1] = s
+    # the (0, 0) pair closing each episode's rows: a row minus itself
+    zero = f[:, 0] - f[:, 0]
+    np.sqrt(np.sum(zero * zero, axis=1), out=out[:, -1])
+    near = np.flatnonzero(~far)
+    # each episode's P pairs are followed by its diagonal row in ``out``
+    return near + near // pairs.rows.size
 
 
 def symmetric_from_pairs(s, m):
@@ -668,8 +733,10 @@ def symmetric_from_pairs(s, m):
 # fresh pages on every call, whose page faults can cost more than the
 # arithmetic on them. ``mlp_scores`` keeps no (N, h) array for backward
 # either: its block kernel's VJP rebuilds each block's hidden
-# activations in scratch. A call on rows one wide that spans more than
-# one block runs on a table of the net's linear pieces instead.
+# activations in scratch. Calls that span more than one block take a
+# second path: ``mlp_scores`` on rows one wide runs on a table of the
+# net's linear pieces, and ``pair_distances`` takes each episode's Gram
+# product, with explicit row differences for near pairs only.
 BLOCK_ROWS = 1024
 
 

@@ -623,6 +623,155 @@ class TestPieceTable:
                     scores_and_grads(T.mlp_scores, x, weights, g, 0.01)
 
 
+def explicit_distances(x):
+    """``pair_distances``' values on the (..., M, d) rows ``x``, flat,
+    from the explicit row-difference kernel alone."""
+    lead, (m, d) = x.shape[:-2], x.shape[-2:]
+    left, right = T._stacked_pairs(m, int(np.prod(lead)))
+    out = np.empty(left.size, dtype=x.dtype)
+    T._explicit_distances(x.reshape(-1, d), left, right, out)
+    return out
+
+
+def gram_bound(d):
+    """The relative error ``pair_distances``' docstring bounds a Gram
+    distance by, plus the explicit kernel's own rounding."""
+    eps = 2.0 ** -53
+    gamma = d * eps / (1 - d * eps)
+    return (2 * gamma + 3 * eps) / T.NEAR_PAIR / 2 + gamma + 2 * eps
+
+
+def clustered_rows(rng, m, d, offset):
+    """m rows of unit spread around four centres about ``offset`` from
+    the origin and from each other: for a large offset, pairs within a
+    cluster are near and pairs across clusters are not."""
+    centres = offset * rng.normal(size=(4, d))
+    return centres[rng.integers(4, size=m)] + rng.normal(size=(m, d))
+
+
+def record_explicit(monkeypatch):
+    """Patches the explicit kernel to record the (left, right) rows of
+    every call; returns the list of records."""
+    calls, kernel = [], T._explicit_distances
+
+    def recording(flat, left, right, out):
+        calls.append((left.copy(), right.copy()))
+        return kernel(flat, left, right, out)
+
+    monkeypatch.setattr(T, "_explicit_distances", recording)
+    return calls
+
+
+class TestGramDistances:
+    """Pair distances of more pairs than one row block come from one Gram
+    product per episode, with near pairs recomputed from explicit row
+    differences; one-block calls run the explicit kernel alone."""
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e8])
+    @pytest.mark.parametrize("d", [1, 16, 32, 64])
+    def test_multi_block_values_within_bound(self, d, offset):
+        rng = np.random.default_rng(d)
+        x = clustered_rows(rng, 50, d, offset)
+        got = T.pair_distances(t(x)).data
+        assert got.shape == (T.pair_rows(50), 1)
+        assert T.pair_rows(50) > T.BLOCK_ROWS
+        want = explicit_distances(x)
+        assert np.all(np.abs(got[:, 0] - want) <= gram_bound(d) * want)
+
+    def test_float32_within_float32_rounding(self, monkeypatch):
+        calls = record_explicit(monkeypatch)
+        x = np.random.default_rng(21).normal(size=(50, 32)).astype(np.float32)
+        got = T.pair_distances(T.Tensor(x)).data[:, 0]
+        assert got.dtype == np.float32
+        assert sum(left.size for left, _ in calls) == 0
+        want = explicit_distances(x.astype(np.float64))
+        assert np.all(np.abs(got - want) <= 2.0 ** -23 * want)
+
+    def test_duplicate_rows_zero_and_close_rows_explicit(self):
+        rng = np.random.default_rng(22)
+        x = clustered_rows(rng, 50, 32, 1e3)
+        x[7] = x[3]
+        x[20] = x[10] + 1e-7 * rng.normal(size=32)
+        got = T.pair_distances(t(x)).data[:, 0]
+        want = explicit_distances(x)
+        p = T.pair_index(50)
+        same = np.flatnonzero((p.rows == 3) & (p.cols == 7))
+        close = np.flatnonzero((p.rows == 10) & (p.cols == 20))
+        assert got[same] == 0.0
+        assert got[close].view(np.uint64) == want[close].view(np.uint64)
+
+    def test_selection(self, monkeypatch):
+        calls = record_explicit(monkeypatch)
+        rng = np.random.default_rng(23)
+        # one block, flat or stacked: every pair and diagonal row
+        for shape in [(40, 8), (4, 16, 8)]:
+            calls.clear()
+            T.pair_distances(t(rng.normal(size=shape)))
+            count = int(np.prod(shape[:-2]))
+            assert [left.size for left, _ in calls] == [
+                count * T.pair_rows(shape[-2])]
+        # more than one block, well separated: none
+        calls.clear()
+        x = rng.normal(size=(50, 32))
+        T.pair_distances(t(x))
+        assert sum(left.size for left, _ in calls) == 0
+        # one duplicated row: exactly the pairs the near rule flags
+        calls.clear()
+        x[7] = x[3]
+        T.pair_distances(t(x))
+        p = T.pair_index(50)
+        norms = (x * x).sum(axis=1)
+        total = norms[p.rows] + norms[p.cols]
+        s = ((x[p.rows] - x[p.cols]) ** 2).sum(axis=1)
+        flagged = np.flatnonzero(~(s > T.NEAR_PAIR * total))
+        assert flagged.tolist() == [np.flatnonzero(
+            (p.rows == 3) & (p.cols == 7))[0]]
+        (left, right), = calls
+        assert left.tolist() == [3] and right.tolist() == [7]
+
+    @pytest.mark.parametrize("dtype,value", [
+        (np.float64, np.nan), (np.float64, np.inf), (np.float64, 1e200),
+        (np.float32, np.nan), (np.float32, np.inf), (np.float32, 1e20)])
+    def test_non_finite_and_overflowing_rows_explicit(self, dtype, value):
+        # rows 0 (the diagonal's row) and 5 hold the value, so pairs of
+        # one and of two such rows occur: theirs and the diagonal must be
+        # the explicit kernel's bitwise, NaN payloads included
+        x = np.random.default_rng(24).normal(size=(50, 8)).astype(dtype)
+        x[[0, 5], 2] = value
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = T.pair_distances(T.Tensor(x)).data[:, 0]
+            want = explicit_distances(x)
+            want64 = explicit_distances(x.astype(np.float64))
+        assert got.dtype == want.dtype == dtype
+        p = T.pair_index(50)
+        hit = np.append(np.isin(p.rows, [0, 5]) | np.isin(p.cols, [0, 5]),
+                        True)
+        bits = np.uint64 if dtype == np.float64 else np.uint32
+        assert np.array_equal(got[hit].view(bits), want[hit].view(bits))
+        bound = gram_bound(8) if dtype == np.float64 else 2.0 ** -23
+        got, want64 = got[~hit], want64[~hit]
+        assert np.all(np.abs(got - want64) <= bound * want64)
+
+    def test_grad_check_multi_block(self):
+        rng = np.random.default_rng(25)
+        x = t(rng.normal(size=(50, 3)))
+        w = t(rng.normal(size=(T.pair_rows(50), 1)), grad=False)
+        err = T.grad_check_groups(
+            lambda: T.tensor_sum(T.mul(T.pair_distances(x), w)), {"x": x},
+            epsilon=1e-6)
+        assert err["x"] < 1e-6
+
+    def test_stacked_matches_each_episode(self):
+        rng = np.random.default_rng(26)
+        x = np.stack([clustered_rows(rng, 30, 16, 1e3) for _ in range(3)])
+        got = T.pair_distances(t(x)).data
+        assert got.shape == (3, T.pair_rows(30), 1)
+        assert 3 * T.pair_rows(30) > T.BLOCK_ROWS >= T.pair_rows(30)
+        for one, rows in zip(got, x):
+            want = T.pair_distances(t(rows)).data
+            assert np.all(np.abs(one - want) <= gram_bound(16) * want)
+
+
 def compare_with_chain(fused, chain, inputs, weights=None):
     """Values and input gradients of ``fused()`` against ``chain()``
     under the loss sum(out * weights), or out itself when scalar; both
