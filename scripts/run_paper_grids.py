@@ -2,9 +2,10 @@
 """Desk-scale ablation grids: channel variants, depth, structure-loss
 weight, and label fraction, each as an aligned table plus CSV.
 
-Single seed by default; pass --seeds to average. Budgets are sized for
-minutes, not hours, so magnitudes are indicative only; the interesting
-output is the ordering within each table.
+One seed per run, set with --seed; to average, run it once per seed.
+Budgets (--iterations, 200 by default) are sized for minutes, not
+hours, so magnitudes are indicative only; the interesting output is the
+ordering within each table.
 """
 import argparse
 import sys

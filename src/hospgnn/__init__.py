@@ -2,6 +2,14 @@
 
 __version__ = "0.1.0"
 
+import os
+
+# one BLAS thread per process, set before numpy first loads, unless the
+# caller chose: the ``workers`` processes already fill the cores
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .errors import (
     ConfigError,
     DataError,

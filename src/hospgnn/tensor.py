@@ -570,20 +570,6 @@ def pair_absdiff(a):
     return _emit(data, (a,), vjp)
 
 
-@functools.lru_cache(maxsize=64)
-def _stacked_pairs(m, count):
-    """The ``rows`` and ``cols`` of ``pair_index(m)``, then one pair (0,
-    0) for the diagonal, for each of ``count`` (m, d) blocks stacked into
-    one (count * m, d) array, block after block."""
-    pairs = pair_index(m)
-    offsets = np.arange(count)[:, None] * m
-    out = tuple((np.append(idx, 0) + offsets).reshape(-1)
-                for idx in (pairs.rows, pairs.cols))
-    for arr in out:
-        arr.flags.writeable = False
-    return out
-
-
 # a pair whose squared distance s is at most this share of its rows'
 # summed squared norms n_i + n_j is near: the Gram product's cancellation
 # error, a few eps (n_i + n_j), would be a large share of s there
@@ -602,15 +588,16 @@ def pair_distances(a):
     matrix G, both in float64 (float32 inputs are widened; their products
     are exact there). That identity loses precision catastrophically as
     s nears 0, so a pair is near, and is recomputed from explicit row
-    differences, unless s > NEAR_PAIR (n_i + n_j) and n_i + n_j is at
-    most a quarter of the input dtype's largest value. Written so, NaN,
-    infinite and overflowing pairs are near too, and near, non-finite and
-    diagonal rows are bitwise the explicit kernel's; duplicate rows give
-    exactly 0. Any other pair gets sqrt(s) cast to the input dtype, with
-    |error of s| <= (2 gamma_d + 3 eps)(n_i + n_j) <= (2 gamma_d + 3 eps)
-    / NEAR_PAIR * s, gamma_d = d eps / (1 - d eps), eps = 2**-53: about
-    5e-13 relative on s and 2.4e-13 on the distance for d = 32, barring
-    underflow of the products, which the explicit kernel suffers too.
+    differences one row block at a time, unless s > NEAR_PAIR (n_i + n_j)
+    and n_i + n_j is at most a quarter of the input dtype's largest
+    value. Written so, NaN, infinite and overflowing pairs are near too,
+    and near, non-finite and diagonal rows are bitwise the explicit
+    kernel's; duplicate rows give exactly 0. Any other pair gets sqrt(s)
+    cast to the input dtype, with |error of s| <= (2 gamma_d + 3 eps)
+    (n_i + n_j) <= (2 gamma_d + 3 eps) / NEAR_PAIR * s, gamma_d = d eps /
+    (1 - d eps), eps = 2**-53: about 5e-13 relative on s and 2.4e-13 on
+    the distance for d = 32, barring underflow of the products, which the
+    explicit kernel suffers too.
 
     Backward forms ``sum_j c_ij (a_i - a_j)``, c_ij = c_ji = g_p / d_ij
     for pair p = (i, j), as one product with the (M, M) matrix c; its
@@ -624,54 +611,45 @@ def pair_distances(a):
     lead, (m, d) = a.shape[:-2], a.shape[-2:]
     count = math.prod(lead)
     pairs = pair_index(m)
-    left, right = _stacked_pairs(m, count)
     f = a.data.reshape(count, m, d)
-    flat = f.reshape(count * m, d)
-    dist = np.empty(left.size, dtype=f.dtype)
+    dist = np.empty((count, pair_rows(m)), dtype=f.dtype)
     if dist.size <= BLOCK_ROWS:
-        _explicit_distances(flat, left, right, dist)
+        dist[:, :-1] = _explicit_distances(np.take(f, pairs.rows, axis=1),
+                                           np.take(f, pairs.cols, axis=1))
     else:
-        near = _gram_distances(f, pairs, dist.reshape(count, -1))
-        part = np.empty(near.size, dtype=f.dtype)
-        _explicit_distances(flat, left[near], right[near], part)
-        dist[near] = part
+        far = _gram_distances(f, pairs, dist[:, :-1])
+        episode, pair = divmod(np.flatnonzero(~far), pairs.rows.size)
+        for rows in row_blocks(pair.size):
+            e, p = episode[rows], pair[rows]
+            dist[e, p] = _explicit_distances(f[e, pairs.rows[p]],
+                                             f[e, pairs.cols[p]])
+    # the (0, 0) pair closing each episode's rows: a row minus itself
+    dist[:, -1] = _explicit_distances(f[:, 0], f[:, 0])
 
     def vjp(g):
         per_pair = np.zeros_like(dist)
-        np.divide(g.reshape(-1), dist, out=per_pair, where=dist > 0)
-        c = np.take(per_pair.reshape(count, -1), pairs.spread,
-                    axis=-1).reshape(count, m, m)
+        np.divide(g.reshape(dist.shape), dist, out=per_pair, where=dist > 0)
+        c = np.take(per_pair, pairs.spread, axis=-1).reshape(count, m, m)
         grad = c.sum(axis=-1)[..., None] * f - c @ f
         return (grad.reshape(a.shape),)
 
     return _emit(dist.reshape(lead + (pair_rows(m), 1)), (a,), vjp)
 
 
-def _explicit_distances(flat, left, right, out):
-    """Writes into ``out`` the distance between rows ``left`` and
-    ``right`` of the (N, d) ``flat``, from explicit row differences,
-    block by block. A row and itself give exactly 0 when finite."""
-    d = flat.shape[1]
-    block = min(out.size, BLOCK_ROWS)
-    diff, other = np.empty((2, block, d), dtype=flat.dtype)
-    # mode="clip" because the indices are valid and "raise" would copy
-    # each block through a temporary
-    for rows in row_blocks(out.size):
-        size = rows.stop - rows.start
-        np.take(flat, left[rows], axis=0, out=diff[:size], mode="clip")
-        np.take(flat, right[rows], axis=0, out=other[:size], mode="clip")
-        np.subtract(diff[:size], other[:size], out=diff[:size])
-        np.multiply(diff[:size], diff[:size], out=diff[:size])
-        np.sum(diff[:size], axis=1, out=out[rows])
-    np.sqrt(out, out=out)
+def _explicit_distances(left, right):
+    """The distance between each (..., d) row of ``left`` and the one
+    at its place in ``right``, from explicit row differences. A row and
+    itself give exactly 0 when finite."""
+    diff = left - right
+    np.multiply(diff, diff, out=diff)
+    return np.sqrt(np.sum(diff, axis=-1))
 
 
 def _gram_distances(f, pairs, out):
-    """Writes into ``out``, (count, P + 1) in ``pair_distances``' layout,
-    the distances of the (count, m, d) rows ``f`` that the Gram identity
-    gives, those of pairs that are not near, and the diagonal's; returns
-    the flat positions in ``out`` of the near pairs, left for the
-    explicit kernel."""
+    """Writes into ``out``, (count, P), the distances of the pairs of the
+    (count, m, d) rows ``f`` that the Gram identity gives; returns the
+    (count, P) mask of the pairs that are not near, leaving the near ones
+    for the explicit kernel."""
     c = f.astype(np.float64, copy=False)
     # non-finite and overflowing rows make NaN or inf here, which the
     # near test catches; the explicit kernel warns about them as before.
@@ -689,13 +667,8 @@ def _gram_distances(f, pairs, out):
         total *= NEAR_PAIR
         far &= s > total
         np.sqrt(s, out=s)
-        out[:, :-1] = s
-    # the (0, 0) pair closing each episode's rows: a row minus itself
-    zero = f[:, 0] - f[:, 0]
-    np.sqrt(np.sum(zero * zero, axis=1), out=out[:, -1])
-    near = np.flatnonzero(~far)
-    # each episode's P pairs are followed by its diagonal row in ``out``
-    return near + near // pairs.rows.size
+        out[...] = s
+    return far
 
 
 def symmetric_from_pairs(s, m):
@@ -728,15 +701,16 @@ def symmetric_from_pairs(s, m):
     return _emit(data.reshape(lead + (m, m)), (s,), vjp)
 
 
-# rows of an (N, h) activation the pair kernels handle at once: their
-# scratch stays small and is reused, where whole (N, h) temporaries are
-# fresh pages on every call, whose page faults can cost more than the
-# arithmetic on them. ``mlp_scores`` keeps no (N, h) array for backward
-# either: its block kernel's VJP rebuilds each block's hidden
-# activations in scratch. Calls that span more than one block take a
-# second path: ``mlp_scores`` on rows one wide runs on a table of the
-# net's linear pieces, and ``pair_distances`` takes each episode's Gram
-# product, with explicit row differences for near pairs only.
+# rows of an (N, h) activation, or pairs of rows, the pair kernels
+# handle at once: their temporaries stay small, where whole (N, h)
+# temporaries are fresh pages on every call, whose page faults can cost
+# more than the arithmetic on them. ``mlp_scores`` reuses its block
+# scratch and keeps no (N, h) array for backward either: its block
+# kernel's VJP rebuilds each block's hidden activations in scratch.
+# Calls that span more than one block take a second path: ``mlp_scores``
+# on rows one wide runs on a table of the net's linear pieces, and
+# ``pair_distances`` takes each episode's Gram product, with explicit row
+# differences for its near pairs only, one block of them at a time.
 BLOCK_ROWS = 1024
 
 

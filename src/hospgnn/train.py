@@ -303,12 +303,14 @@ class _Workers:
     warn (DeprecationWarning) when such a process forks, which a test
     run with warnings as errors may report as a failure; as ``workers``
     defaults to the usable cores, a default call with two or more
-    groups may fork. hospgnn runs no threads of its own, and the
-    workers start only in the first call that needs them, from the
-    calling thread; a caller that runs threads should make that call
-    before it starts them, or pass ``workers=1``, which neither forks
-    nor waits for another thread's call. ``multiprocessing`` is
-    imported then too.
+    groups may fork. hospgnn runs no threads of its own, and importing
+    it before numpy pins BLAS to one thread (the package sets the thread
+    variables a caller has not); a caller that loaded numpy first is not
+    covered, and its BLAS may run threads of its own. The workers start
+    only in the first call that needs them, from the calling thread; a
+    caller that runs threads should make that call before it starts
+    them, or pass ``workers=1``, which neither forks nor waits for
+    another thread's call. ``multiprocessing`` is imported then too.
     """
 
     def __init__(self):
@@ -456,7 +458,10 @@ def train(ds_train, ds_val, cfg: TrainConfig, workers=None, log=None):
     model is scored on validation episodes and the best snapshot kept.
     A non-finite loss or parameter gradient aborts before the Adam step
     rather than skipping the batch; skipping hides gradient bugs, and a
-    step would spread the NaN into every parameter.
+    step would spread the NaN into every parameter. Each process runs
+    BLAS on one thread when hospgnn was imported before numpy; a caller
+    that loaded numpy first is not covered, and its BLAS threads compete
+    with the workers for the cores.
     """
     workers = _resolve_workers(workers)
     params = init_params(cfg.model, seed=cfg.seed)

@@ -750,3 +750,52 @@ def test_full_loss_gradients_on_small_model(tiny_episode):
     }
     errs = T.grad_check_groups(run, subset)
     assert max(errs.values()) < 1e-5, errs
+
+
+class TestLargeEpisodes:
+    """The oracle and the gradient check on M = 50 episodes, whose 1226
+    pair rows pass ``BLOCK_ROWS``: the metric nets run their piece
+    tables and the pair distances their Gram products."""
+
+    def episode(self, dim, seed):
+        pool = synth_clusters(6, 20, dim, sep=3.0, seed=seed)
+        episode = sample_episode(pool, 5, 1, 9, rng=make_rng(seed, 2))
+        assert T.pair_rows(episode.m) > T.BLOCK_ROWS
+        return episode
+
+    def test_default_config_matches_naive_oracle(self):
+        cfg = ModelConfig(feature_dim=6, layers=3, hidden_dim=8,
+                          encoder_dim=8, metric_hidden=16)
+        assert naive_worst_gap(self.episode(6, 48), cfg) < 1e-10
+
+    def test_criterion_5_config_matches_naive_oracle(self):
+        from test_acceptance import C5_MODEL
+
+        cfg = ModelConfig(**C5_MODEL)
+        assert naive_worst_gap(self.episode(16, 49), cfg, seed=3) < 1e-10
+
+    def test_full_loss_gradients(self):
+        # criterion 1's epsilon, bound and parameter offset, with linear
+        # metric nets: among an M = 50 episode's tens of thousands of
+        # leaky-ReLU pre-activations some lie within epsilon of a kink,
+        # where a central difference is wrong (7 of 8 episodes failed
+        # 1e-4 here at slope 0.01); TestPieceTable ties the kinks'
+        # gradients to the block kernel's. The structure weight is 0.3:
+        # at criterion 1's 1e-5 a last-layer relative net's gradient can
+        # be 1e-8 of the loss, too small for one rounding of the loss to
+        # resolve to 1e-4
+        cfg = ModelConfig(feature_dim=8, layers=2, hidden_dim=4,
+                          encoder_dim=4, metric_hidden=6, leaky_slope=1.0)
+        episode = self.episode(8, 50)
+        params = init_params(cfg, seed=6)
+        offset = make_rng(77, 0x6E)
+        for p in params.values():
+            p.data += 0.05 * offset.standard_normal(p.shape).astype(p.dtype)
+
+        def run():
+            total, _ = report_losses(forward(episode, params), episode,
+                                     weight=0.3)
+            return total
+
+        errs = T.grad_check_groups(run, params.tensors, epsilon=1e-5)
+        assert max(errs.values()) < 1e-4, errs

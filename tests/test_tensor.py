@@ -1,5 +1,6 @@
 import gc
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -625,12 +626,11 @@ class TestPieceTable:
 
 def explicit_distances(x):
     """``pair_distances``' values on the (..., M, d) rows ``x``, flat,
-    from the explicit row-difference kernel alone."""
-    lead, (m, d) = x.shape[:-2], x.shape[-2:]
-    left, right = T._stacked_pairs(m, int(np.prod(lead)))
-    out = np.empty(left.size, dtype=x.dtype)
-    T._explicit_distances(x.reshape(-1, d), left, right, out)
-    return out
+    from the explicit row-difference kernel alone: each pair, then the
+    diagonal as row 0 against itself."""
+    p = T.pair_index(x.shape[-2])
+    return T._explicit_distances(x[..., np.append(p.rows, 0), :],
+                                 x[..., np.append(p.cols, 0), :]).reshape(-1)
 
 
 def gram_bound(d):
@@ -650,16 +650,34 @@ def clustered_rows(rng, m, d, offset):
 
 
 def record_explicit(monkeypatch):
-    """Patches the explicit kernel to record the (left, right) rows of
-    every call; returns the list of records."""
+    """Patches the explicit kernel to record the pairs of rows of every
+    call, each as the bytes of its two rows; returns the list of
+    records."""
     calls, kernel = [], T._explicit_distances
 
-    def recording(flat, left, right, out):
-        calls.append((left.copy(), right.copy()))
-        return kernel(flat, left, right, out)
+    def recording(left, right):
+        d = left.shape[-1]
+        calls.extend((a.tobytes(), b.tobytes()) for a, b in
+                     zip(left.reshape(-1, d), right.reshape(-1, d)))
+        return kernel(left, right)
 
     monkeypatch.setattr(T, "_explicit_distances", recording)
     return calls
+
+
+def row_pairs(x, rows, cols):
+    """The pairs (rows[k], cols[k]) of each (M, d) episode of ``x``, in
+    the form ``record_explicit`` records, sorted."""
+    return sorted((a.tobytes(), b.tobytes())
+                  for f in x.reshape((-1,) + x.shape[-2:])
+                  for a, b in zip(f[rows], f[cols]))
+
+
+def sent_pairs(calls, x):
+    """The pairs of ``x``'s rows that reached the explicit kernel, sorted,
+    leaving out each episode's diagonal row (row 0 against itself)."""
+    diagonal = set(row_pairs(x, [0], [0]))
+    return sorted(pair for pair in calls if pair not in diagonal)
 
 
 class TestGramDistances:
@@ -683,7 +701,7 @@ class TestGramDistances:
         x = np.random.default_rng(21).normal(size=(50, 32)).astype(np.float32)
         got = T.pair_distances(T.Tensor(x)).data[:, 0]
         assert got.dtype == np.float32
-        assert sum(left.size for left, _ in calls) == 0
+        assert sent_pairs(calls, x) == []
         want = explicit_distances(x.astype(np.float64))
         assert np.all(np.abs(got - want) <= 2.0 ** -23 * want)
 
@@ -703,18 +721,18 @@ class TestGramDistances:
     def test_selection(self, monkeypatch):
         calls = record_explicit(monkeypatch)
         rng = np.random.default_rng(23)
-        # one block, flat or stacked: every pair and diagonal row
+        # one block, flat or stacked: every pair
         for shape in [(40, 8), (4, 16, 8)]:
             calls.clear()
-            T.pair_distances(t(rng.normal(size=shape)))
-            count = int(np.prod(shape[:-2]))
-            assert [left.size for left, _ in calls] == [
-                count * T.pair_rows(shape[-2])]
+            x = rng.normal(size=shape)
+            T.pair_distances(t(x))
+            p = T.pair_index(shape[-2])
+            assert sent_pairs(calls, x) == row_pairs(x, p.rows, p.cols)
         # more than one block, well separated: none
         calls.clear()
         x = rng.normal(size=(50, 32))
         T.pair_distances(t(x))
-        assert sum(left.size for left, _ in calls) == 0
+        assert sent_pairs(calls, x) == []
         # one duplicated row: exactly the pairs the near rule flags
         calls.clear()
         x[7] = x[3]
@@ -726,8 +744,21 @@ class TestGramDistances:
         flagged = np.flatnonzero(~(s > T.NEAR_PAIR * total))
         assert flagged.tolist() == [np.flatnonzero(
             (p.rows == 3) & (p.cols == 7))[0]]
-        (left, right), = calls
-        assert left.tolist() == [3] and right.tolist() == [7]
+        assert sent_pairs(calls, x) == row_pairs(x, [3], [7])
+
+    def test_near_pass_runs_in_row_blocks(self):
+        # every pair of 400 coincident rows is near; recomputed in one
+        # pass, they would take three (P, 32) temporaries of 20 MB each
+        x = t(np.tile(np.random.default_rng(27).normal(size=32), (400, 1)))
+        T.pair_index(400)   # cached first: the index is not the near pass's
+        tracemalloc.start()
+        try:
+            got = T.pair_distances(x).data
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not got.any()
+        assert peak < 8e6
 
     @pytest.mark.parametrize("dtype,value", [
         (np.float64, np.nan), (np.float64, np.inf), (np.float64, 1e200),

@@ -975,6 +975,42 @@ def test_default_train_workers_leave_with_the_interpreter():
     assert len(pids) == min(len(os.sched_getaffinity(0)), 2) - 1
 
 
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+# prints the OS threads of an interpreter that imported hospgnn before
+# numpy, then the OpenBLAS thread count it left in the environment
+THREADS_CHILD = """
+import os
+import hospgnn
+print(len(os.listdir("/proc/self/task")), os.environ["OPENBLAS_NUM_THREADS"])
+"""
+
+
+def _import_child(**thread_vars):
+    """Run ``THREADS_CHILD`` with the BLAS thread variables unset but
+    for ``thread_vars``; return its thread count and OpenBLAS setting."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(thread_vars, PYTHONPATH=str(
+        Path(__import__("hospgnn").__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", THREADS_CHILD],
+                          capture_output=True, env=env, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    tasks, blas = done.stdout.split()
+    return int(tasks), blas
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts threads in /proc/self/task")
+class TestThreadBudget:
+    def test_import_pins_blas_to_one_thread(self):
+        # numpy's OpenBLAS starts a second thread at import when unpinned
+        assert _import_child() == (1, "1")
+
+    def test_a_thread_count_the_caller_set_is_kept(self):
+        assert _import_child(OPENBLAS_NUM_THREADS="2")[1] == "2"
+
+
 # the child's own peak RSS in kB. Not ru_maxrss: Linux carries the
 # spawning process's peak into it across exec, so every child would read
 # at least the test process's own peak
