@@ -23,7 +23,7 @@ from . import __version__
 from .data import load_dataset, synth_clusters, write_dataset
 from .errors import ConfigError, DataError, NumericError
 from .graph import parse_variant
-from .model import FIELD_CHOICES, ModelConfig
+from .model import FIELD_CHOICES, ModelConfig, config_hash
 from .train import (
     ABLATION_AXES,
     DEFAULT_AXIS_VALUES,
@@ -61,8 +61,7 @@ def build_manifest(cfg: TrainConfig, inputs, outputs, extra=None):
     # the hash pins what determines the numbers (tool, config, input
     # contents); output locations are recorded but excluded, so the same
     # run into two directories stamps identical files
-    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
-    manifest["manifest_hash"] = hashlib.sha256(blob.encode()).hexdigest()[:16]
+    manifest["manifest_hash"] = config_hash(manifest)
     manifest["outputs"] = {name: str(p) for name, p in outputs.items()}
     return manifest
 
@@ -285,7 +284,7 @@ def make_parser(config_defaults=None):
     p.add_argument("--test", type=Path, required=True, dest="test_path")
     p.add_argument("--axis", required=True,
                    choices=ABLATION_AXES + ("loss",))
-    p.add_argument("--values", nargs="*", default=None,
+    p.add_argument("--values", nargs="+", default=None,
                    help="override the default value grid for the axis")
     _add_run_flags(p)
     p.add_argument("--out-dir", type=Path, default=Path("ablation"))

@@ -219,10 +219,11 @@ def synth_clusters(n_classes, per_class, dim, sep, noise_sigma=1.0, seed=0,
     """
     if n_classes < 1 or per_class < 1 or dim < 1:
         raise DataError("n_classes, per_class, dim must all be positive")
-    if sep < 0:
-        raise DataError(f"sep must be non-negative, got {sep}")
-    if noise_sigma <= 0:
-        raise DataError(f"noise_sigma must be positive, got {noise_sigma}")
+    if not 0 <= sep < np.inf:
+        raise DataError(f"sep must be finite and non-negative, got {sep}")
+    if not 0 < noise_sigma < np.inf:
+        raise DataError(
+            f"noise_sigma must be finite and positive, got {noise_sigma}")
     rng = make_rng(seed, 0xD5)
     raw = rng.standard_normal((n_classes, dim))
     norms = np.linalg.norm(raw, axis=1, keepdims=True)

@@ -37,7 +37,7 @@ def parse_variant(text):
     enables one channel (``rs``, ``sd``, ``d``, ...).
     """
     name = str(text).strip().lower()
-    if name in ("full", "rsd", "hsd"):
+    if name == "full":
         return FULL_CHANNELS
     enabled = set()
     for letter in name:

@@ -119,8 +119,9 @@ def manifold_loss(graph):
 
 def total_loss(ce, structure, weight):
     """Classification plus weighted structure loss."""
-    if weight < 0:
-        raise ConfigError(f"structure loss weight must be >= 0, got {weight}")
+    if not 0 <= weight < np.inf:
+        raise ConfigError(
+            f"structure loss weight must be finite and >= 0, got {weight}")
     if weight == 0:
         return ce
     return T.add(ce, T.mul(structure, weight))

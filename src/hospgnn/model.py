@@ -27,7 +27,6 @@ from .graph import (
     FULL_CHANNELS,
     init_edges,
     init_relative_channel,
-    readout_for,
     relative_features,
     stack_channels,
 )
@@ -126,10 +125,6 @@ class ModelConfig:
     @property
     def needs_pair_net(self):
         return "similar" in self.channels or "dissimilar" in self.channels
-
-    def resolved_readout(self):
-        """The channel predictions are read from (``readout_for``)."""
-        return readout_for(self.channels)
 
     def to_dict(self):
         out = asdict(self)
@@ -423,10 +418,10 @@ def forward(episode, params):
     )
 
 
-def config_hash(model_config, extra=None):
-    """Stable short fingerprint of a config dict tree."""
-    payload = {"model": model_config.to_dict()}
-    if extra:
-        payload["extra"] = extra
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def config_hash(tree):
+    """Stable short fingerprint of any JSON tree: the first 16 hex
+    digits of the SHA-256 of its sorted, compact JSON. Checkpoints
+    (``TrainConfig.fingerprint``) and run manifests are stamped with it,
+    so a change to the recipe orphans every file saved before it."""
+    blob = json.dumps(tree, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]

@@ -975,30 +975,22 @@ def softmax(a, axis=-1):
 def normalize_last(a, eps):
     """Scale each trailing-axis vector of an (..., M, M, C) tensor to sum
     to one, as one node. A vector summing below ``eps`` maps to zeros
-    instead, with zero gradient.
+    instead, with zero gradient: its sum is taken as +inf, and dividing
+    by it gives both.
 
-    Backward: (g - sum_c g_c y_c) / s on every live vector, y the output
-    and s the vector's sum.
+    Backward: (g - sum_c g_c y_c) / s, y the output and s the vector's
+    sum.
     """
     a = _as_tensor(a)
     if a.ndim < 3:
         raise ShapeError(f"normalize_last expects (..., M, M, C), got {a.shape}")
     sums = _sum_kept(a.data, -1)
-    dead = sums < eps
-    any_dead = bool(np.any(dead))
-    if any_dead:
-        sums = np.where(dead, 1.0, sums)
-        live = ~dead
-        data = np.zeros_like(a.data)
-        np.divide(a.data, sums, out=data, where=live)
-    else:
-        data = a.data / sums
+    sums[sums < eps] = np.inf
+    data = a.data / sums
 
     def vjp(g):
         grad = g - _sum_kept(g * data, -1)
         grad /= sums
-        if any_dead:
-            grad *= live
         return (grad,)
 
     return _emit(data, (a,), vjp)

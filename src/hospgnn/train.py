@@ -56,12 +56,16 @@ class TrainConfig:
             raise ConfigError(
                 f"label_fraction must be in (0, 1], got {self.label_fraction}"
             )
-        if self.structure_weight < 0:
-            raise ConfigError("structure_weight must be >= 0")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be >= 0")
+        if not 0 <= self.structure_weight < np.inf:
+            raise ConfigError("structure_weight must be finite and >= 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError("learning_rate must be finite and positive")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ConfigError("weight_decay must be finite and >= 0")
+        if (self.target_accuracy is not None
+                and not 0 <= self.target_accuracy <= 1):
+            raise ConfigError(
+                f"target_accuracy must be in [0, 1], got {self.target_accuracy}")
 
     def to_dict(self):
         out = asdict(self)
@@ -75,9 +79,8 @@ class TrainConfig:
         return TrainConfig(**d)
 
     def fingerprint(self):
-        return config_hash(self.model, extra={
-            k: v for k, v in self.to_dict().items() if k != "model"
-        })
+        tree = self.to_dict()
+        return config_hash({"model": tree.pop("model"), "extra": tree})
 
 
 class Adam:
@@ -106,11 +109,8 @@ class Adam:
         k = int(np.searchsorted(self.bounds, index, side="right")) - 1
         return self.params.names()[k]
 
-    def step(self, grads=None):
-        """One update from the flat ``grads`` (the parameters'
-        ``flat_grads`` when None)."""
-        if grads is None:
-            grads = self.params.flat_grads()
+    def step(self, grads):
+        """One update from the flat vector ``grads``."""
         self.step_count += 1
         b1, b2 = ADAM_BETAS
         bias1 = 1.0 - b1 ** self.step_count
@@ -217,6 +217,15 @@ def episode_groups(episodes):
     size = max(1, T.BLOCK_ROWS // T.pair_rows(episodes[0].m))
     chunks = [episodes[i:i + size] for i in range(0, len(episodes), size)]
     return [stack_episodes(c) if len(c) > 1 else c[0] for c in chunks]
+
+
+def _sample_groups(ds, cfg, count, rng):
+    """``count`` episodes of ``cfg``'s shape drawn from ``rng``, in
+    ``episode_groups``."""
+    return episode_groups([
+        sample_episode(ds, cfg.n_way, cfg.k_shot, cfg.n_query,
+                       cfg.label_fraction, rng)
+        for _ in range(count)])
 
 
 def _share_accuracies(groups, params):
@@ -416,12 +425,8 @@ def evaluate(ds, params, cfg, episodes, seed=None, workers=None):
     require_count("episodes", episodes)
     workers = _resolve_workers(workers)
     rng = make_rng(cfg.seed if seed is None else seed, _STREAM_EVAL)
-    eps = [
-        sample_episode(ds, cfg.n_way, cfg.k_shot, cfg.n_query,
-                       cfg.label_fraction, rng)
-        for _ in range(episodes)
-    ]
-    accs = _WORKERS.run("_share_accuracies", episode_groups(eps), params,
+    accs = _WORKERS.run("_share_accuracies",
+                        _sample_groups(ds, cfg, episodes, rng), params,
                         workers)
     accs = np.concatenate([np.atleast_1d(a) for a in accs])
     mean = float(accs.mean())
@@ -477,13 +482,9 @@ def train(ds_train, ds_val, cfg: TrainConfig, workers=None, log=None):
 
     scale = 1.0 / cfg.batch_episodes
     for iteration in range(1, cfg.total_iterations + 1):
-        episodes = [
-            sample_episode(ds_train, cfg.n_way, cfg.k_shot, cfg.n_query,
-                           cfg.label_fraction, train_rng)
-            for _ in range(cfg.batch_episodes)
-        ]
+        groups = _sample_groups(ds_train, cfg, cfg.batch_episodes, train_rng)
         (grads, batch_loss), *rest = _WORKERS.run(
-            "_share_gradients", episode_groups(episodes), params, workers,
+            "_share_gradients", groups, params, workers,
             cfg.structure_weight, scale)
         for group_grads, loss in rest:
             grads += group_grads

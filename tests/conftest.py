@@ -1,15 +1,9 @@
-import os
-
-# Pin BLAS to one thread before numpy first loads: the timing criteria
-# are single-core budgets, and one thread keeps reductions bit-stable.
-for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS"):
-    os.environ.setdefault(var, "1")
-
-import numpy as np
-import pytest
-
+# hospgnn first: importing it pins BLAS to one thread before numpy first
+# loads. The timing criteria are single-core budgets, and one thread
+# keeps reductions bit-stable.
 from hospgnn import data, model
+
+import pytest
 
 
 @pytest.fixture(scope="session")

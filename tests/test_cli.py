@@ -11,6 +11,7 @@ from hospgnn.cli import (
     EPISODE_OPTIONS,
     MODEL_OPTIONS,
     TRAIN_OPTIONS,
+    build_manifest,
     config_from_args,
     load_config_defaults,
     main,
@@ -98,6 +99,19 @@ class TestSynth:
         assert rc == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--sep", "nan"), ("--sep", "inf"), ("--noise", "nan"),
+        ("--noise", "inf"),
+    ])
+    def test_non_finite_spread_is_data_error(self, tmp_path, capsys, flag,
+                                             value):
+        path = tmp_path / "d.emb"
+        rc = main(["synth", "--classes", "2", "--per-class", "3",
+                   "--dim", "2", flag, value, "--out", str(path)])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+        assert not path.exists()
+
 
 class TestTrain:
     def test_outputs_exist_and_parse(self, tmp_path, data_files):
@@ -143,6 +157,33 @@ class TestTrain:
                    "--out-dir", str(tmp_path / "x")])
         assert rc == 2
 
+    @pytest.mark.parametrize("flag", [
+        "--lambda", "--learning-rate", "--weight-decay", "--target-accuracy",
+    ])
+    def test_non_finite_option_is_config_error(self, tmp_path, data_files,
+                                               capsys, flag):
+        out = tmp_path / "run"
+        rc = main(["train", "--train", str(data_files["train"]),
+                   "--val", str(data_files["val"]), "--out-dir", str(out),
+                   *FAST_MODEL, *FAST_TRAIN, flag, "nan"])
+        assert rc == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_in_config_file_is_config_error(self, tmp_path, data_files,
+                                                capsys):
+        # json reads a bare NaN as a float
+        config = tmp_path / "run.json"
+        config.write_text('{"learning_rate": NaN}')
+        out = tmp_path / "run"
+        rc = main(["train", "--config", str(config),
+                   "--train", str(data_files["train"]),
+                   "--val", str(data_files["val"]), "--out-dir", str(out),
+                   *FAST_MODEL])
+        assert rc == 1
+        assert "learning_rate must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("where", ["file", "under_file"])
     def test_out_dir_blocked_by_file_is_data_error(self, tmp_path, data_files,
                                                    capsys, where):
@@ -154,6 +195,22 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(out) in err
         assert blocker.read_text() == "kept"
+
+
+def test_config_and_manifest_hashes_are_pinned(tmp_path):
+    # literal values: a change to the hash recipe orphans every saved
+    # checkpoint (load_checkpoint compares its config hash) and manifest
+    cfg = TrainConfig(model=ModelConfig(feature_dim=8,
+                                        channels=("relative", "similar")),
+                      n_way=3, learning_rate=1e-3, target_accuracy=0.9,
+                      seed=3)
+    assert cfg.fingerprint() == "0fd57728df08affe"
+    (tmp_path / "train.txt").write_bytes(b"train\n")
+    (tmp_path / "val.txt").write_bytes(b"val\n")
+    manifest = build_manifest(
+        cfg, {"train": tmp_path / "train.txt", "val": tmp_path / "val.txt"},
+        {"metrics": tmp_path / "metrics.csv"}, extra={"axis": "layers"})
+    assert manifest["manifest_hash"] == "8c4ab9ea5f051aad"
 
 
 def test_results_do_not_depend_on_the_worker_count(tmp_path, capsys):
@@ -398,6 +455,17 @@ class TestAblate:
         assert shown.err.startswith("data error:") and str(out) in shown.err
         assert "layers=" not in shown.out   # refused before any run
         assert blocker.read_text() == "kept"
+
+    def test_empty_values_is_usage_error(self, tmp_path, data_files, capsys):
+        out = tmp_path / "ab"
+        rc = main(["ablate", "--train", str(data_files["train"]),
+                   "--val", str(data_files["val"]),
+                   "--test", str(data_files["test"]),
+                   "--axis", "layers", "--values",
+                   "--out-dir", str(out), *FAST_MODEL, *FAST_TRAIN])
+        assert rc == 1
+        assert "--values" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_axis_is_usage_error(self, tmp_path, data_files):
         rc = main(["ablate",

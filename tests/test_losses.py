@@ -263,6 +263,12 @@ class TestStructureLoss:
         with pytest.raises(ConfigError):
             total_loss(ce, ce, -0.1)
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        ce = T.Tensor(np.asarray(2.0))
+        with pytest.raises(ConfigError, match="finite"):
+            total_loss(ce, ce, weight)
+
 
 class TestReport:
     def test_report_is_consistent(self, tiny_episode, tiny_params):

@@ -6,7 +6,7 @@ import pytest
 from hospgnn import tensor as T
 from hospgnn.data import make_rng, sample_episode, stack_episodes, synth_clusters
 from hospgnn.errors import ConfigError, NumericError
-from hospgnn.graph import FULL_CHANNELS, parse_variant
+from hospgnn.graph import FULL_CHANNELS, parse_variant, readout_for
 from hospgnn.losses import (
     episodic_ce,
     manifold_loss,
@@ -64,17 +64,17 @@ class TestConfig:
 
     def test_readout_auto_prefers_similar(self):
         cfg = ModelConfig(feature_dim=4)
-        assert cfg.resolved_readout() == "similar"
+        assert readout_for(cfg.channels) == "similar"
 
     def test_readout_auto_falls_back_in_channel_order(self):
         rel = ModelConfig(feature_dim=4, channels=("relative",))
-        assert rel.resolved_readout() == "relative"
+        assert readout_for(rel.channels) == "relative"
         dis = ModelConfig(feature_dim=4, channels=("dissimilar",))
-        assert dis.resolved_readout() == "dissimilar"
+        assert readout_for(dis.channels) == "dissimilar"
 
     def test_default_readout_follows_enabled_channels(self):
         cfg = ModelConfig(feature_dim=4, channels=("relative", "dissimilar"))
-        assert cfg.resolved_readout() == "relative"
+        assert readout_for(cfg.channels) == "relative"
 
     def test_dict_round_trip(self):
         cfg = ModelConfig(feature_dim=6, layers=2, hidden_dim=10,
@@ -83,11 +83,11 @@ class TestConfig:
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_hash_separates_configs(self):
-        a = ModelConfig(feature_dim=6)
-        b = ModelConfig(feature_dim=6, layers=2)
-        assert config_hash(a) == config_hash(a)
+        a = {"model": ModelConfig(feature_dim=6).to_dict()}
+        b = {"model": ModelConfig(feature_dim=6, layers=2).to_dict()}
+        assert config_hash(a) == config_hash(dict(a))
         assert config_hash(a) != config_hash(b)
-        assert config_hash(a, extra={"k": 1}) != config_hash(a)
+        assert config_hash({**a, "extra": {"k": 1}}) != config_hash(a)
 
     def test_embed_dim_tracks_encoder(self):
         with_enc = ModelConfig(feature_dim=6, encoder_dim=12)
@@ -485,10 +485,10 @@ def naive_worst_gap(episode, cfg, seed=0):
     for a, b in zip(graph.edges, es):
         worst = max(worst, float(np.max(np.abs(a.data - b))))
     pred = predict_labels(graph, episode).data
-    npred = nm.predict(es, len(es) - 1, cfg.resolved_readout())
+    npred = nm.predict(es, len(es) - 1, readout_for(cfg.channels))
     worst = max(worst, float(np.max(np.abs(pred - npred))))
     total, rep = report_losses(graph, episode, weight=0.25)
-    nce, _ = nm.ce(es, cfg.resolved_readout())
+    nce, _ = nm.ce(es, readout_for(cfg.channels))
     nml = nm.structure_loss(es, rel, pair)
     worst = max(worst, abs(rep.ce - nce), abs(rep.structure - nml))
     worst = max(worst, abs(float(total.data) - (nce + 0.25 * nml)))

@@ -20,6 +20,7 @@ from hospgnn.errors import (
     ConfigError, DataError, DegenerateEpisodeError, NumericError)
 from hospgnn.losses import (
     accuracy, episodic_ce, manifold_loss, predict_labels, total_loss)
+from hospgnn.graph import readout_for
 from hospgnn.model import ModelConfig, forward, init_params
 from hospgnn.train import (
     _STREAM_EVAL,
@@ -93,6 +94,17 @@ class TestTrainConfig:
             {"total_iterations": -1},
             {"eval_every": 0},
             {"eval_episodes": 0},
+            {"label_fraction": float("nan")},
+            {"structure_weight": float("nan")},
+            {"structure_weight": float("inf")},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+            {"weight_decay": float("nan")},
+            {"weight_decay": float("inf")},
+            {"weight_decay": -1e-6},
+            {"target_accuracy": float("nan")},
+            {"target_accuracy": float("inf")},
+            {"target_accuracy": 1.5},
         ],
     )
     def test_bad_values_rejected(self, kw):
@@ -134,7 +146,7 @@ class TestAdam:
         before = params.copy_arrays()
         opt = Adam(params, learning_rate=0.1, weight_decay=0.5)
         params.zero_grads()
-        opt.step()
+        opt.step(params.flat_grads())
         for name, arr in params.copy_arrays().items():
             assert np.allclose(arr, before[name] * (1 - 0.1 * 0.5),
                                atol=1e-15)
@@ -148,7 +160,7 @@ class TestAdam:
             p.grad = rng.normal(size=p.shape)
             grads[name] = p.grad.copy()
         opt = Adam(params, learning_rate=0.01)
-        opt.step()
+        opt.step(params.flat_grads())
         b1, b2 = ADAM_BETAS
         for name, p in params.tensors.items():
             g = grads[name]
@@ -168,7 +180,7 @@ class TestAdam:
         for _ in range(200):
             for q in params.values():
                 q.grad = np.full(q.shape, 3.0)
-            opt.step()
+            opt.step(params.flat_grads())
         moved = start - p.data
         assert np.all(moved > 0.05 * 150)
 
@@ -184,7 +196,7 @@ class TestAdam:
         for step in range(1, 21):
             for p in params.values():
                 p.grad = rng.normal(size=p.shape)
-            opt.step()
+            opt.step(params.flat_grads())
             # the per-tensor loop the flat update replaced
             bias1, bias2 = 1.0 - b1 ** step, 1.0 - b2 ** step
             for name, p in params.tensors.items():
@@ -212,7 +224,7 @@ class TestAdam:
         before = params.copy_arrays()
         for p in params.values():
             p.grad = None
-        opt.step()
+        opt.step(params.flat_grads())
         for name, p in params.tensors.items():
             assert np.array_equal(p.data, before[name])
 
@@ -1124,7 +1136,7 @@ class TestCheckpoint:
         ref = NaiveModel(probe, arrays, cfg.model.to_dict())
         es = ref.forward()[2]
         want = ref.predict(es, cfg.model.layers,
-                           cfg.model.resolved_readout())
+                           readout_for(cfg.model.channels))
         assert np.max(np.abs(got - np.array(want))) <= 1e-12
 
     def test_tampered_config_rejected(self, tmp_path):
