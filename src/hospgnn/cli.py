@@ -15,13 +15,14 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import typing
 from pathlib import Path
 
 from . import __version__
-from .data import load_dataset, synth_clusters, write_dataset
-from .errors import ConfigError, DataError, NumericError
+from .data import load_dataset, require_supply, synth_clusters, write_dataset
+from .errors import ConfigError, DataError, NumericError, require_count
 from .graph import parse_variant
 from .model import FIELD_CHOICES, ModelConfig, config_hash
 from .train import (
@@ -342,16 +343,22 @@ def cmd_synth(args):
 
 def _load_splits(args):
     """The train, validation and test splits (test None when no --test
-    is given) and the run config. A data error unless every split has
-    the training dimension, raised before any training starts."""
+    is given) and the run config, checked before the output directory is
+    made: --workers is a count, and every split has the training
+    dimension and can supply the run's episodes (``require_supply``)."""
+    if args.workers is not None:
+        require_count("workers", args.workers)
     ds_train = load_dataset(args.train_path, "train")
     ds_val = load_dataset(args.val_path, "validation")
     ds_test = load_dataset(args.test_path, "test") if args.test_path else None
-    for ds in (ds_val, ds_test):
+    cfg = config_from_args(args, ds_train.dim)
+    for ds in (ds_train, ds_val, ds_test):
         if ds is not None and ds.dim != ds_train.dim:
             raise DataError(f"dimension mismatch: train dim {ds_train.dim}, "
                             f"{ds.split} dim {ds.dim}")
-    return ds_train, ds_val, ds_test, config_from_args(args, ds_train.dim)
+        if ds is not None:
+            require_supply(ds, cfg.n_way, cfg.k_shot + cfg.n_query)
+    return ds_train, ds_val, ds_test, cfg
 
 
 def cmd_train(args):
@@ -387,14 +394,15 @@ def cmd_train(args):
     if ds_test is not None:
         test_acc, test_ci = evaluate_test(ds_test, best, cfg, args.workers)
     else:
-        # no test split given: report the best validation score instead
+        # no test split: the best validation score (NaN if none ran)
         test_acc, test_ci = best.val_accuracy, 0.0
 
+    measured = not math.isnan(test_acc)   # else null: JSON has no NaN
     summary = {
         "config": cfg.to_dict(),
         "best_iter": best.iteration,
-        "test_acc": test_acc,
-        "test_ci": test_ci,
+        "test_acc": test_acc if measured else None,
+        "test_ci": test_ci if measured else None,
         "manifest": manifest,
     }
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True))

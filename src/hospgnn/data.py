@@ -147,6 +147,18 @@ def visible_per_class(label_fraction, k_shot):
     return max(1, math.ceil(label_fraction * k_shot - 1e-9))
 
 
+def require_supply(ds, n_way, per_class):
+    """A DataError unless split ``ds`` holds at least ``n_way`` classes
+    and every class at least ``per_class`` items, as each episode needs."""
+    if len(ds.classes) < n_way:
+        raise DataError(f"split {ds.split!r} has {len(ds.classes)} classes, "
+                        f"episode needs {n_way}")
+    for cid, pool in ds._by_class.items():
+        if pool.size < per_class:
+            raise DataError(f"split {ds.split!r} class {cid} has {pool.size} "
+                            f"items, episode needs {per_class}")
+
+
 def sample_episode(ds, n_way, k_shot, n_query, label_fraction=1.0, rng=None):
     """Draw classes, then items, then the label mask, in that order.
 
@@ -161,12 +173,9 @@ def sample_episode(ds, n_way, k_shot, n_query, label_fraction=1.0, rng=None):
             f"need n_way >= 2, k_shot >= 1, n_query >= 1; "
             f"got {n_way}, {k_shot}, {n_query}"
         )
-    classes = ds.classes
-    if len(classes) < n_way:
-        raise DataError(
-            f"split {ds.split!r} has {len(classes)} classes, episode needs {n_way}"
-        )
     need = k_shot + n_query
+    require_supply(ds, n_way, need)
+    classes = ds.classes
     chosen = rng.choice(len(classes), size=n_way, replace=False)
     class_ids = np.array([classes[i] for i in chosen], dtype=np.int64)
 
@@ -174,10 +183,6 @@ def sample_episode(ds, n_way, k_shot, n_query, label_fraction=1.0, rng=None):
     query_idx = np.empty((n_way, n_query), dtype=np.int64)
     for slot, cid in enumerate(class_ids):
         pool = ds.class_items(cid)
-        if pool.size < need:
-            raise DataError(
-                f"class {cid} has {pool.size} items, episode needs {need}"
-            )
         picks = rng.choice(pool.size, size=need, replace=False)
         support_idx[slot] = pool[picks[:k_shot]]
         query_idx[slot] = pool[picks[k_shot:]]

@@ -4,13 +4,15 @@ The readout turns query-to-support edge values into class scores; the
 classification loss sums per-layer cross-entropies (each one a mean over
 queries); the structure loss asks each layer's affinities to honor the
 previous layer's edge values, averaged per pair so its scale does not
-grow with episode size. For a stacked episode (``data.stack_episodes``)
+grow with episode size; ``report_losses`` sums the two into the one
+training objective. For a stacked episode (``data.stack_episodes``)
 every loss and accuracy is one value per episode, along the leading axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -76,45 +78,32 @@ def accuracy(graph, episode):
     return np.mean(hard_labels(rows) == query_slots(episode), axis=-1)
 
 
-def per_layer_ce(graph, episode):
-    """Cross-entropy of each level's predictions, meaned over queries,
-    one ``T.readout_ce`` node per level."""
+def episodic_ce(graph, episode, per_layer=None):
+    """Total classification loss: the per-layer means, summed. Each
+    level's cross-entropy, meaned over queries, is one ``T.readout_ce``
+    node, appended to the list ``per_layer`` when one is given."""
     readout = _readout(graph, episode)
     truth = query_slots(episode)
-    return [T.readout_ce(graph.edges[layer], truth=truth, **readout)
-            for layer in range(1, graph.num_layers + 1)]
+    terms = [T.readout_ce(graph.edges[layer], truth=truth, **readout)
+             for layer in range(1, graph.num_layers + 1)]
+    if per_layer is not None:
+        per_layer.extend(terms)
+    return reduce(T.add, terms)
 
 
-def _add_all(terms):
-    """Sum of a non-empty list of tensors, in list order."""
-    out = terms[0]
-    for term in terms[1:]:
-        out = T.add(out, term)
-    return out
-
-
-def episodic_ce(graph, episode):
-    """Total classification loss: the per-layer means, summed."""
-    return _add_all(per_layer_ce(graph, episode))
-
-
-def per_layer_manifold(graph):
-    """Structure terms per layer, each a (C,) tensor in channel order.
+def manifold_loss(graph, per_layer=None):
+    """Total structure-preservation loss over layers and channels.
 
     Layer l weighs its fresh channel affinities (the stack its edge
     update rescaled by, kept in ``graph.affinities``) by the previous
     level's edge values; each channel's term is a mean over all M*M
-    pairs.
+    pairs. The list ``per_layer``, if given, gets each layer's terms.
     """
-    return [
-        T.pair_mean_product(stack, edges)
-        for stack, edges in zip(graph.affinities, graph.edges)
-    ]
-
-
-def manifold_loss(graph):
-    """Total structure-preservation loss over layers and channels."""
-    return T.tensor_sum(_add_all(per_layer_manifold(graph)), axis=-1)
+    terms = [T.pair_mean_product(stack, edges)
+             for stack, edges in zip(graph.affinities, graph.edges)]
+    if per_layer is not None:
+        per_layer.extend(terms)
+    return T.tensor_sum(reduce(T.add, terms), axis=-1)
 
 
 def total_loss(ce, structure, weight):
@@ -141,18 +130,17 @@ class LossReport:
 
 
 def report_losses(graph, episode, weight):
-    """Compute the training loss and a number-only report together.
-
-    Returns (total Tensor, LossReport); the Tensor is what backward runs
-    on, the report is safe to stash or serialize.
-    """
-    ce_terms = per_layer_ce(graph, episode)
-    ce = _add_all(ce_terms)
-    ml_layers = per_layer_manifold(graph)
-    ml = T.tensor_sum(_add_all(ml_layers), axis=-1)
+    """The one assembly of the training objective, which ``train``
+    differentiates, from one ``episodic_ce`` and one ``manifold_loss``
+    call. Returns (total Tensor, LossReport of their per-layer terms);
+    backward runs on the Tensor, the report is safe to stash or
+    serialize."""
+    ce_layers, ml_layers = [], []
+    ce = episodic_ce(graph, episode, ce_layers)
+    ml = manifold_loss(graph, ml_layers)
     total = total_loss(ce, ml, weight)
     report = LossReport(
-        ce_per_layer=[t.data.tolist() for t in ce_terms],
+        ce_per_layer=[t.data.tolist() for t in ce_layers],
         structure_per_layer=[
             dict(zip(graph.channels, np.moveaxis(terms.data, -1, 0).tolist()))
             for terms in ml_layers

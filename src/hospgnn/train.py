@@ -243,18 +243,17 @@ def _share_accuracies(groups, params):
 
 def _share_gradients(groups, params, structure_weight, scale):
     """For each group in order, one tape: the gradients of ``scale``
-    times its total loss, as one flat vector (``ModelParams.flat_grads``),
-    and that scaled loss; and the exception as ``_share_accuracies``
-    gives it. Every group's vector is held until the share returns."""
+    times its ``losses.report_losses`` total, as one flat vector
+    (``ModelParams.flat_grads``), and that scaled loss; and the exception
+    as ``_share_accuracies`` gives it. Every group's vector is held until
+    the share returns."""
     out = []
     for group in groups:
         params.zero_grads()
         try:
             with T.Tape() as tape:
                 graph = forward(group, params)
-                ce = losses.episodic_ce(graph, group)
-                ml = losses.manifold_loss(graph)
-                total = losses.total_loss(ce, ml, structure_weight)
+                total, _ = losses.report_losses(graph, group, structure_weight)
                 loss = T.mul(T.tensor_sum(total), scale)
                 tape.backward(loss)
         except Exception as exc:

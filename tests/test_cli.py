@@ -184,6 +184,43 @@ class TestTrain:
         assert "learning_rate must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("test_split, flags, message", [
+        # four classes for a 5-way episode
+        (dict(classes=4), ["--n-way", "5"],
+         "split 'test' has 4 classes, episode needs 5"),
+        # three items a class for 2 supports and 2 queries
+        (dict(per_class=3), ["--k-shot", "2"],
+         "split 'test' class 0 has 3 items, episode needs 4"),
+    ], ids=["classes", "items"])
+    def test_split_that_cannot_supply_episodes_is_refused_before_training(
+            self, tmp_path, capsys, test_split, flags, message):
+        train_path = synth(tmp_path / "train.emb", seed=1)
+        val_path = synth(tmp_path / "val.emb", seed=2)
+        test_path = synth(tmp_path / "test.emb", seed=3, **test_split)
+        out = tmp_path / "run"
+        rc = main(["train", "--train", str(train_path), "--val",
+                   str(val_path), "--test", str(test_path),
+                   "--out-dir", str(out), *FAST_MODEL, *FAST_TRAIN, *flags])
+        assert rc == 2
+        shown = capsys.readouterr()
+        assert message in shown.err
+        assert "iter" not in shown.out   # no training ran
+        assert not out.exists()
+
+    def test_summary_without_a_score_is_strict_json(self, tmp_path,
+                                                    data_files):
+        # no iteration and no test split: no score was ever measured
+        out = run_train(data_files, tmp_path / "run",
+                        extra=["--iterations", "0"])
+
+        def refuse(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        summary = json.loads((out / "summary.json").read_text(),
+                             parse_constant=refuse)
+        assert summary["test_acc"] is None and summary["test_ci"] is None
+        assert summary["best_iter"] == 0
+
     @pytest.mark.parametrize("where", ["file", "under_file"])
     def test_out_dir_blocked_by_file_is_data_error(self, tmp_path, data_files,
                                                    capsys, where):
@@ -823,11 +860,29 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_fewer_than_one_worker_is_usage_error(self, tmp_path, data_files,
-                                                  workers):
+                                                  capsys, workers):
+        out = tmp_path / "x"
         rc = main(["train", "--train", str(data_files["train"]),
                    "--val", str(data_files["val"]), *FAST_MODEL, *FAST_TRAIN,
-                   "--workers", workers, "--out-dir", str(tmp_path / "x")])
+                   "--workers", workers, "--out-dir", str(out)])
         assert rc == 1
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()   # refused before the output directory
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_fewer_than_one_worker_is_usage_error_for_ablate(
+            self, tmp_path, data_files, capsys, workers):
+        out = tmp_path / "x"
+        rc = main(["ablate", "--train", str(data_files["train"]),
+                   "--val", str(data_files["val"]),
+                   "--test", str(data_files["test"]),
+                   "--axis", "layers", "--values", "1", *FAST_MODEL,
+                   *FAST_TRAIN, "--workers", workers, "--out-dir", str(out)])
+        assert rc == 1
+        shown = capsys.readouterr()
+        assert "workers must be >= 1" in shown.err
+        assert "layers=" not in shown.out   # no run reported
+        assert not out.exists()
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

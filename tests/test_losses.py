@@ -10,8 +10,6 @@ from hospgnn.losses import (
     episodic_ce,
     hard_labels,
     manifold_loss,
-    per_layer_ce,
-    per_layer_manifold,
     predict_labels,
     query_slots,
     report_losses,
@@ -191,11 +189,11 @@ class TestClassificationLoss:
         for n_layers in (1, 2, 3):
             g = graph_from_edges(
                 [np.zeros((4, 4, 1))] + [uniform] * n_layers)
-            terms = per_layer_ce(g, tiny_task())
+            terms = []
+            total = episodic_ce(g, tiny_task(), terms)
             assert len(terms) == n_layers
             for t in terms:
                 assert abs(float(t.data) - np.log(2.0)) < 1e-12
-            total = episodic_ce(g, tiny_task())
             assert abs(float(total.data) - n_layers * np.log(2.0)) < 1e-12
 
     def test_confident_correct_predictions_cost_nothing(self):
@@ -225,6 +223,8 @@ class TestStructureLoss:
     def test_matches_loop_on_real_forward(self, tiny_episode, tiny_params):
         graph = forward(tiny_episode, tiny_params)
         m = graph.m
+        layer_terms = []
+        got = float(manifold_loss(graph, layer_terms).data)
         want_total = 0.0
         for layer in range(1, graph.num_layers + 1):
             prev = graph.edges[layer - 1].data
@@ -235,7 +235,7 @@ class TestStructureLoss:
                                  graph.vertex_feats[layer]).data
             by_name = {"relative": rel, "similar": pair,
                        "dissimilar": 1.0 - pair}
-            terms = per_layer_manifold(graph)[layer - 1]
+            terms = layer_terms[layer - 1]
             for idx, ch in enumerate(graph.channels):
                 acc = 0.0
                 for i in range(m):
@@ -244,7 +244,6 @@ class TestStructureLoss:
                 acc /= m * m
                 assert abs(float(terms.data[idx]) - acc) < 1e-12
                 want_total += acc
-        got = float(manifold_loss(graph).data)
         assert abs(got - want_total) < 1e-12
 
     def test_weight_combines_linearly(self):
@@ -293,11 +292,10 @@ class TestReport:
             for b in range(3)])
         graph = forward(eps, tiny_params)
         total, rep = report_losses(graph, eps, weight=0.3)
-        ce_layers = per_layer_ce(graph, eps)
-        ml_layers = per_layer_manifold(graph)
+        ce_layers, ml_layers = [], []
         assert rep.total == total.data.tolist()
-        assert rep.ce == episodic_ce(graph, eps).data.tolist()
-        assert rep.structure == manifold_loss(graph).data.tolist()
+        assert rep.ce == episodic_ce(graph, eps, ce_layers).data.tolist()
+        assert rep.structure == manifold_loss(graph, ml_layers).data.tolist()
         assert rep.ce_per_layer == [t.data.tolist() for t in ce_layers]
         for per_channel, terms in zip(rep.structure_per_layer, ml_layers):
             assert list(per_channel) == list(graph.channels)

@@ -7,13 +7,7 @@ from hospgnn import tensor as T
 from hospgnn.data import make_rng, sample_episode, stack_episodes, synth_clusters
 from hospgnn.errors import ConfigError, NumericError
 from hospgnn.graph import FULL_CHANNELS, parse_variant, readout_for
-from hospgnn.losses import (
-    episodic_ce,
-    manifold_loss,
-    predict_labels,
-    report_losses,
-    total_loss,
-)
+from hospgnn.losses import predict_labels, report_losses
 from hospgnn.model import (
     SCORE_EPS,
     ModelConfig,
@@ -391,8 +385,7 @@ class TestMetricNets:
             ep = sample_episode(pool, *shape, rng=make_rng(8, 1))
             with T.Tape() as tape:
                 graph = forward(ep, params)
-                total = total_loss(episodic_ce(graph, ep),
-                                   manifold_loss(graph), 1e-5)
+                total = report_losses(graph, ep, 1e-5)[0]
                 tape.backward(T.mul(total, 0.25))
             counts.append(len(tape))
         assert counts[0] == counts[1] <= 60, counts
@@ -631,8 +624,7 @@ def step_grads(params, episode):
     params.zero_grads()
     with T.Tape() as tape:
         graph = forward(episode, params)
-        total = total_loss(episodic_ce(graph, episode),
-                           manifold_loss(graph), 0.3)
+        total = report_losses(graph, episode, 0.3)[0]
         tape.backward(T.mul(T.tensor_sum(total), 0.25))
     return {n: params.t(n).grad.copy() for n in params.names()}
 

@@ -524,8 +524,7 @@ class TestRebuiltActivations:
             params.zero_grads()
             with T.Tape() as tape:
                 graph = forward(episode, params)
-                total = losses.total_loss(losses.episodic_ce(graph, episode),
-                                          losses.manifold_loss(graph), 1e-5)
+                total = losses.report_losses(graph, episode, 1e-5)[0]
                 tape.backward(T.tensor_sum(total))
             return {n: params.t(n).grad.copy() for n in params.names()}
 
@@ -1025,8 +1024,7 @@ def taped_step(episode, params):
     params.zero_grads()
     with T.Tape() as tape:
         graph = forward(episode, params)
-        total = losses.total_loss(losses.episodic_ce(graph, episode),
-                                  losses.manifold_loss(graph), 1e-5)
+        total = losses.report_losses(graph, episode, 1e-5)[0]
         tape.backward(T.tensor_sum(total))
     return {n: params.t(n).grad.copy() for n in params.names()}, tape
 

@@ -18,8 +18,7 @@ from hospgnn.data import (
     make_rng, sample_episode, synth_benchmark, synth_clusters)
 from hospgnn.errors import (
     ConfigError, DataError, DegenerateEpisodeError, NumericError)
-from hospgnn.losses import (
-    accuracy, episodic_ce, manifold_loss, predict_labels, total_loss)
+from hospgnn.losses import accuracy, predict_labels, report_losses
 from hospgnn.graph import readout_for
 from hospgnn.model import ModelConfig, forward, init_params
 from hospgnn.train import (
@@ -244,9 +243,7 @@ class TestBatchGradients:
             for ep in eps:
                 with T.Tape() as tape:
                     graph = forward(ep, params)
-                    total = total_loss(episodic_ce(graph, ep),
-                                       manifold_loss(graph),
-                                       cfg.structure_weight)
+                    total = report_losses(graph, ep, cfg.structure_weight)[0]
                     tape.backward(T.mul(total, 1.0 / len(eps)))
             return {n: params.t(n).grad.copy() for n in params.names()}
 
@@ -257,9 +254,7 @@ class TestBatchGradients:
                 acc = None
                 for ep in eps:
                     graph = forward(ep, params)
-                    total = total_loss(episodic_ce(graph, ep),
-                                       manifold_loss(graph),
-                                       cfg.structure_weight)
+                    total = report_losses(graph, ep, cfg.structure_weight)[0]
                     acc = total if acc is None else T.add(acc, total)
                 tape.backward(T.mul(acc, 1.0 / len(eps)))
             return {n: params.t(n).grad.copy() for n in params.names()}
@@ -374,6 +369,24 @@ class TestTrainLoop:
         with pytest.raises(NumericError,
                            match=r"gradient of encoder\.w at iteration 1$"):
             train(train_pool, val_pool, small_cfg(total_iterations=2))
+
+    def test_steps_differentiate_report_losses(self, train_pool, val_pool,
+                                               monkeypatch):
+        # a NaN-valued term added to report_losses' total reaches the
+        # loss each step checks: training steps on that total
+        original = losses.report_losses
+
+        def poisoned(graph, episode, weight):
+            total, report = original(graph, episode, weight)
+            nan = T._emit(np.full(total.shape, np.nan, dtype=total.dtype),
+                          (total,), lambda g: (np.zeros_like(g),))
+            return T.add(total, nan), report
+
+        monkeypatch.setattr(losses, "report_losses", poisoned)
+        with pytest.raises(NumericError, match=r"^non-finite loss nan at "
+                           r"iteration 1$"):
+            train(train_pool, val_pool, small_cfg(total_iterations=2),
+                  workers=1)
 
     def test_non_finite_loss_stops_before_the_step(self, monkeypatch):
         # three groups, so two workers run two shares; each worker forks
@@ -776,8 +789,8 @@ class TestTrainWorkers:
         pool, cfg = _train_setup((2, 5, 3), batch)
         original = losses.episodic_ce
 
-        def poisoned_ce(graph, group):
-            ce = original(graph, group)
+        def poisoned_ce(graph, group, per_layer=None):
+            ce = original(graph, group, per_layer)
             if group.features.shape[0] != 4:
                 return ce
             zero = T._emit(np.zeros(ce.shape, dtype=ce.dtype), (ce,),
@@ -1058,8 +1071,7 @@ params = init_params(ModelConfig(**{model!r}), seed=3)
 episode = sample_episode(ds_train, 20, 1, 15, rng=make_rng(3, 0))
 with T.Tape() as tape:
     graph = forward(episode, params)
-    total = losses.total_loss(losses.episodic_ce(graph, episode),
-                              losses.manifold_loss(graph), 1e-5)
+    total = losses.report_losses(graph, episode, 1e-5)[0]
     tape.backward(T.tensor_sum(total))
 """ + PRINT_PEAK_KB
 
