@@ -128,15 +128,22 @@ def complemented(channels):
     return tuple(k for k, ch in enumerate(channels) if ch == "dissimilar")
 
 
-def stack_channels(channels, relative, pair):
-    """The (..., M, M, C) stack of the enabled channels, as one node: the
-    relative channel reads ``relative``, the similar one ``pair``, the
-    dissimilar one ``1 - pair``. It builds the initial edges and every
-    layer's affinities; the readout reads the same ``complemented``."""
+def channel_sources(channels, relative, pair):
+    """The (..., M, M) tensor each enabled channel reads, and the indices
+    of those read as one minus it: the relative channel reads
+    ``relative``, the similar one ``pair``, the dissimilar one ``1 -
+    pair``. The readout reads the same ``complemented``."""
     if "relative" in channels and relative is None:
         raise ShapeError("relative channel enabled but not provided")
-    parts = [relative if ch == "relative" else pair for ch in channels]
-    return T.stack_last(parts, complement=complemented(channels))
+    return ([relative if ch == "relative" else pair for ch in channels],
+            complemented(channels))
+
+
+def stack_channels(channels, relative, pair):
+    """The (..., M, M, C) stack of the enabled channels
+    (``channel_sources``), as one node. It builds the initial edges, and
+    the structure loss builds each layer's affinities with it."""
+    return T.stack_last(*channel_sources(channels, relative, pair))
 
 
 def init_edges(episode, channels, rel_channel=None, dtype=np.float64,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DataError
-from .graph import complemented, readout_for
+from .graph import complemented, readout_for, stack_channels
 
 
 def _readout(graph, episode):
@@ -94,13 +94,16 @@ def episodic_ce(graph, episode, per_layer=None):
 def manifold_loss(graph, per_layer=None):
     """Total structure-preservation loss over layers and channels.
 
-    Layer l weighs its fresh channel affinities (the stack its edge
-    update rescaled by, kept in ``graph.affinities``) by the previous
-    level's edge values; each channel's term is a mean over all M*M
-    pairs. The list ``per_layer``, if given, gets each layer's terms.
+    Layer l weighs its fresh channel affinities (the (..., M, M, C)
+    stack its edge update rescaled by, built here by ``stack_channels``
+    from the scores in ``graph.scores``) by the previous level's edge
+    values, channel-last views of channel-first buffers; each channel's
+    term is a mean over all M*M pairs. The list ``per_layer``, if given,
+    gets each layer's terms.
     """
-    terms = [T.pair_mean_product(stack, edges)
-             for stack, edges in zip(graph.affinities, graph.edges)]
+    terms = [T.pair_mean_product(stack_channels(graph.channels, rel, pair),
+                                 edges)
+             for (rel, pair), edges in zip(graph.scores, graph.edges)]
     if per_layer is not None:
         per_layer.extend(terms)
     return T.tensor_sum(reduce(T.add, terms), axis=-1)

@@ -25,10 +25,10 @@ from .graph import (
     CHANNEL_ORDER,
     DENOM_EPS,
     FULL_CHANNELS,
+    channel_sources,
     init_edges,
     init_relative_channel,
     relative_features,
-    stack_channels,
 )
 
 STANDARDIZE_EPS = 1e-5
@@ -318,20 +318,24 @@ def vertex_update(u_prev, v_prev, e_prev, params, layer):
 
 
 def edge_update(u_l, v_l, e_prev, params, layer, rel_scores=None,
-                pair_scores=None, stacks=None):
+                pair_scores=None):
     """Evolve every enabled channel, then re-normalize pairs.
 
-    One pass over the (M, M, C) tensor (``T.edge_rescale``): old values
-    are scaled by the fresh channel affinities (``stack_channels``),
-    then divided by their row's affinity-weighted mean, so a
-    uniformly-scored row is left unchanged. A row with no mass, or with
-    vanishing affinity mass, in some channel is a numeric error naming
-    the row and the channel.
+    One node (``T.evolve_edges``): old values are scaled by the fresh
+    channel affinities (``channel_sources`` of the scores), then divided
+    by their row's affinity-weighted mean, so a uniformly-scored row is
+    left unchanged, and each pair is scaled to sum to one over the
+    channels (zeros where the channels sum below DENOM_EPS). A row with
+    no mass, or with vanishing affinity mass, in some channel is a
+    numeric error naming the row and the channel.
 
-    Score matrices may be passed in (stub networks in tests); by default
-    they are computed from this layer's features. ``stacks``, when
-    given, is a list the affinity stack is appended to, for the
-    structure loss. Returns the two score matrices (None for a net the
+    The new edges are a channel-last (..., M, M, C) view of a
+    channel-first buffer, so the next layer reads each channel as one
+    contiguous (M, M) plane.
+
+    Score matrices may be passed in (stub networks in tests, full and
+    possibly asymmetric); by default they are computed from this layer's
+    features. Returns the two score matrices (None for a net the
     channels do not use) with the new edge tensor.
     """
     cfg = params.config
@@ -339,11 +343,11 @@ def edge_update(u_l, v_l, e_prev, params, layer, rel_scores=None,
         rel_scores = metric_scores(params, f"layer{layer}.relnet", v_l)
     if pair_scores is None and cfg.needs_pair_net:
         pair_scores = metric_scores(params, f"layer{layer}.pairnet", u_l)
-    affinity = stack_channels(cfg.channels, rel_scores, pair_scores)
-    if stacks is not None:
-        stacks.append(affinity)
-    rescaled = T.edge_rescale(affinity, e_prev, cfg.channels, DENOM_EPS)
-    return rel_scores, pair_scores, channel_normalize(rescaled)
+    sources, complement = channel_sources(cfg.channels, rel_scores,
+                                          pair_scores)
+    edges = T.evolve_edges(sources, e_prev, complement, cfg.channels,
+                           DENOM_EPS)
+    return rel_scores, pair_scores, edges
 
 
 @dataclass
@@ -351,18 +355,19 @@ class EpisodeGraph:
     """Everything the forward pass produced, level by level.
 
     Index 0 of ``vertex_feats``/``diff_feats``/``edges`` is the initial
-    graph; index l is the state after layer l. ``affinities`` has one
-    entry per layer (entry l-1 belongs to layer l): the (..., M, M, C)
-    affinity stack that layer's edge update rescaled by
-    (``stack_channels`` of its metric scores), which the
-    structure-preservation loss reads.
+    graph; index l is the state after layer l. The edges of every layer
+    are channel-last (..., M, M, C) views of channel-first buffers.
+    ``scores`` has one entry per layer (entry l-1 belongs to layer l):
+    the (relative, pair) score matrices that layer's edge update read,
+    None for a net the channels do not use; the structure-preservation
+    loss builds the layer's affinity stack from them.
     """
 
     channels: tuple
     vertex_feats: list
     diff_feats: list
     edges: list
-    affinities: list = field(default_factory=list)
+    scores: list = field(default_factory=list)
 
     @property
     def num_layers(self):
@@ -400,21 +405,21 @@ def forward(episode, params):
     blind0 = channel_normalize(init_edges(
         episode, cfg.channels, rel_channel=rel0, dtype=cfg.np_dtype,
         labels=False))
-    us, vs, es, stacks = [u0], [v0], [e0], []
+    us, vs, es, scores = [u0], [v0], [e0], []
     for layer in range(cfg.layers):
         pool = blind0 if layer == 0 else es[-1]
         u_l, v_l = vertex_update(us[-1], vs[-1], pool, params, layer)
-        _, _, e_l = edge_update(u_l, v_l, es[-1], params, layer,
-                                stacks=stacks)
+        rel, pair, e_l = edge_update(u_l, v_l, es[-1], params, layer)
         us.append(u_l)
         vs.append(v_l)
         es.append(e_l)
+        scores.append((rel, pair))
     return EpisodeGraph(
         channels=cfg.channels,
         vertex_feats=us,
         diff_feats=vs,
         edges=es,
-        affinities=stacks,
+        scores=scores,
     )
 
 

@@ -996,56 +996,111 @@ def normalize_last(a, eps):
     return _emit(data, (a,), vjp)
 
 
-def edge_rescale(affinity, edges, channels, eps):
-    """``s * mass / sum_j s`` for (..., M, M, C) tensors, with ``s =
-    affinity * edges`` and ``mass = sum_j edges``, as one node: every row
-    of every channel is reweighted by its affinities and keeps the mass
-    it had.
+def _plane_view(x):
+    """The (..., C, M, M) view of an (..., M, M, C) array. Two axis swaps
+    instead of ``np.moveaxis``, whose Python-level axis checks cost more
+    than the arithmetic on small episodes."""
+    return x.swapaxes(-1, -3).swapaxes(-1, -2)
 
-    A row whose mass, or whose affinity-weighted mean ``sum_j s / mass``,
-    is below ``eps`` in some channel is a NumericError naming the row
-    and the channel (``channels`` names the trailing axis), and, with
-    leading axes, the episode: the flat index over them.
 
-    Backward, with q = sum_j g y / mass per row and channel (y the
-    output) and mean = sum_j s / mass: the gradient of s is
-    (g - q) / mean, and ``edges`` also receives q along its row.
+def _channel_last_view(x):
+    """The (..., M, M, C) view of an (..., C, M, M) array, the inverse of
+    ``_plane_view``."""
+    return x.swapaxes(-3, -1).swapaxes(-3, -2)
+
+
+def evolve_edges(sources, edges, complement, channels, eps):
+    """The edge layer's tail as one node: each row of each channel of
+    the (..., M, M, C) ``edges`` reweighted by fresh affinities, keeping
+    its mass, then each pair normalised over the channels.
+
+    Channel c's affinity a_c is the (..., M, M) ``sources[c]``, or one
+    minus it for c in ``complement`` (a tensor may appear more than
+    once). With s = a e, mass = sum_j e and mean = sum_j s / mass, r =
+    s / mean; the output is r over Z = sum_c r, and zeros with zero
+    gradient where Z is below ``eps`` (taken as +inf, as in
+    ``normalize_last``). A row whose mass or mean is below ``eps`` in
+    some channel is a NumericError naming the row, the channel
+    (``channels`` names the trailing axis) and, with leading axes, the
+    episode: the flat index over them.
+
+    The work runs on (..., C, M, M) planes, so row sums are contiguous,
+    and the output is a channel-last view of that channel-first buffer.
+    A recorded call keeps the row masses and means, Z and the output.
+    Backward, with G the output gradient and y the output: w = G -
+    sum_c G_c y_c, q = sum_j w y / mass, and s receives (w / Z - q) /
+    mean, which flows to a times e and to e times a (rebuilt from
+    ``sources``), e also receiving q along its row.
     """
-    a, e = _coerce_pair(affinity, edges)
-    if a.ndim < 3 or a.shape != e.shape:
-        raise ShapeError(f"edge_rescale expects two equal (..., M, M, C) "
-                         f"tensors, got {a.shape} and {e.shape}")
+    srcs = [_as_tensor(t) for t in sources]
+    e = _as_tensor(edges)
+    if (e.ndim < 3 or e.shape[-1] != len(srcs)
+            or any(t.shape != e.shape[:-1] for t in srcs)):
+        raise ShapeError(f"evolve_edges expects (..., M, M, C) edges and C "
+                         f"(..., M, M) sources, got {e.shape} and "
+                         f"{[t.shape for t in srcs]}")
+    inputs = (*dict.fromkeys(srcs), e)
 
     def require(values, what):
         if np.any(values < eps):
-            flat = values.reshape((-1,) + values.shape[-3:])
-            b, i, _, c = np.unravel_index(int(np.argmin(flat)), flat.shape)
-            episode = f"episode {b}, " if values.ndim > 3 else ""
+            flat = values[..., 0].swapaxes(-1, -2).reshape(
+                (-1,) + e.shape[-2:])
+            b, i, c = np.unravel_index(int(np.argmin(flat)), flat.shape)
+            episode = f"episode {b}, " if e.ndim > 3 else ""
             raise NumericError(f"edge update: {what} on {episode}row {i}, "
                                f"channel {channels[c]!r}")
 
-    mass = _sum_kept(e.data, -2)
+    planes = _plane_view(e.data)
+    y = np.empty(planes.shape, np.result_type(*(t.data for t in inputs)))
+    for c, t in enumerate(srcs):
+        plane = y[..., c, :, :]
+        if c in complement:
+            np.subtract(1.0, t.data, out=plane)
+            plane *= planes[..., c, :, :]
+        else:
+            np.multiply(t.data, planes[..., c, :, :], out=plane)
+    mass = _sum_kept(planes, -1)
     require(mass, "zero total weight")
-    scaled = a.data * e.data
-    mean = _sum_kept(scaled, -2) / mass
+    mean = _sum_kept(y, -1)
+    mean /= mass
     require(mean, "vanishing affinity mass")
-    data = scaled / mean
+    y /= mean
+    sums = _sum_kept(y, -3)
+    sums[sums < eps] = np.inf
+    y /= sums
 
     def vjp(g):
-        q = _sum_kept(g * data, -2)
+        gp = _plane_view(g)
+        scratch = gp * y
+        w = gp - _sum_kept(scratch, -3)
+        q = _sum_kept(np.multiply(w, y, out=scratch), -1)
         q /= mass
-        gs = g - q
-        gs /= mean
-        return (gs * e.data if a.requires_grad else None,
-                gs * a.data + q if e.requires_grad else None)
+        w /= sums
+        w -= q
+        w /= mean
+        if any(t.requires_grad for t in srcs):
+            ga = np.multiply(w, _plane_view(e.data), out=scratch)
+            for c in complement:
+                np.negative(ga[..., c, :, :], out=ga[..., c, :, :])
+        grads = [functools.reduce(np.add, (ga[..., c, :, :] for c, s
+                                           in enumerate(srcs) if s is t))
+                 if t.requires_grad else None for t in inputs[:-1]]
+        if not e.requires_grad:
+            return (*grads, None)
+        for c, t in enumerate(srcs):
+            w[..., c, :, :] *= 1.0 - t.data if c in complement else t.data
+        w += q
+        return (*grads, _channel_last_view(w))
 
-    return _emit(data, (a, e), vjp)
+    return _emit(_channel_last_view(y), inputs, vjp)
 
 
 def _channel_planes(x):
     """The (..., C, M, M) planes of an (..., M, M, C) array, one per
-    channel, each contiguous for BLAS."""
-    return np.ascontiguousarray(np.moveaxis(x, -1, -3))
+    channel, each contiguous for BLAS: a copy of a channel-last array,
+    and the buffer itself, no copy, for a channel-last view of a
+    channel-first one (the edges ``evolve_edges`` returns)."""
+    return np.ascontiguousarray(_plane_view(x))
 
 
 def pool_channels(weights, sources, tail=None):
@@ -1053,7 +1108,9 @@ def pool_channels(weights, sources, tail=None):
     then ``tail`` as it is, as one node: each vertex pools every source
     with its own channel's (M, M) weights. ``weights`` is (..., M, M, C),
     ``sources`` holds C (..., M, d_c) tensors (one may appear more than
-    once), ``tail`` is None or an (..., M, d) tensor.
+    once), ``tail`` is None or an (..., M, d) tensor. Layer edges are
+    channel-last views of channel-first buffers, so their planes are
+    read in place; other weights are copied to planes first.
 
     A recorded call keeps no copy of the weights: its VJP rebuilds the
     channel planes from them.

@@ -149,16 +149,20 @@ CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
+    """Write ``ckpt`` to ``path`` as an ``.npz`` whose ``__meta__`` is
+    strict JSON: a NaN ``val_accuracy`` (no validation ran) is null."""
     meta = {
         "version": CHECKPOINT_VERSION,
         "iteration": ckpt.iteration,
-        "val_accuracy": ckpt.val_accuracy,
+        "val_accuracy": (None if np.isnan(ckpt.val_accuracy)
+                         else ckpt.val_accuracy),
         "config": ckpt.config.to_dict(),
         "config_hash": ckpt.config.fingerprint(),
     }
     payload = {f"param/{name}": arr for name, arr in ckpt.arrays.items()}
     payload["__meta__"] = np.frombuffer(
-        json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8
+        json.dumps(meta, sort_keys=True, allow_nan=False).encode(),
+        dtype=np.uint8
     )
     np.savez(path, **payload)
 
@@ -167,7 +171,8 @@ def load_checkpoint(path):
     """The checkpoint ``save_checkpoint`` wrote to ``path``. A file that
     is not one (not an ``.npz``, a ``.npy`` array, truncated, without
     ``__meta__``, or with metadata that is unreadable or lacks a field)
-    raises DataError naming the path."""
+    raises DataError naming the path. A null ``val_accuracy`` reads back
+    as NaN."""
     try:
         # opened here: numpy leaves its own handle open when it rejects a file
         with open(path, "rb") as fh, np.load(fh) as archive:
@@ -187,7 +192,9 @@ def load_checkpoint(path):
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     try:
         ckpt = Checkpoint(arrays=arrays, iteration=meta["iteration"],
-                          val_accuracy=meta["val_accuracy"],
+                          val_accuracy=(float("nan")
+                                        if meta["val_accuracy"] is None
+                                        else meta["val_accuracy"]),
                           config=TrainConfig.from_dict(meta["config"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed checkpoint metadata ({exc!r})") from exc

@@ -221,6 +221,23 @@ class TestTrain:
         assert summary["test_acc"] is None and summary["test_ci"] is None
         assert summary["best_iter"] == 0
 
+    def test_checkpoint_without_a_score_is_strict_json(self, tmp_path,
+                                                       data_files):
+        # no validation ran: the stored accuracy is null, read back as NaN
+        out = run_train(data_files, tmp_path / "run",
+                        extra=["--iterations", "0"])
+
+        def refuse(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        with np.load(out / "checkpoint.npz") as archive:
+            meta = json.loads(bytes(archive["__meta__"]).decode(),
+                              parse_constant=refuse)
+        assert meta["val_accuracy"] is None
+        ckpt = load_checkpoint(out / "checkpoint.npz")
+        assert isinstance(ckpt.val_accuracy, float)
+        assert np.isnan(ckpt.val_accuracy)
+
     @pytest.mark.parametrize("where", ["file", "under_file"])
     def test_out_dir_blocked_by_file_is_data_error(self, tmp_path, data_files,
                                                    capsys, where):

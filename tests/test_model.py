@@ -496,8 +496,18 @@ class TestForward:
         assert len(graph.vertex_feats) == L + 1
         assert len(graph.diff_feats) == L + 1
         assert len(graph.edges) == L + 1
-        assert len(graph.affinities) == L
+        assert len(graph.scores) == L
         assert graph.m == tiny_episode.m
+
+    def test_edges_are_channel_last_views_of_channel_first_buffers(
+            self, tiny_episode, tiny_params):
+        graph = forward(tiny_episode, tiny_params)
+        m, c = tiny_episode.m, len(tiny_params.config.channels)
+        for e in graph.edges[1:]:
+            assert e.shape == (m, m, c)
+            planes = T._channel_planes(e.data)
+            assert planes.flags.c_contiguous
+            assert np.shares_memory(planes, e.data)
 
     def test_forward_is_deterministic(self, tiny_episode, tiny_params):
         a = forward(tiny_episode, tiny_params)

@@ -11,6 +11,7 @@ from hospgnn import losses, tensor as T
 from hospgnn.data import (make_rng, sample_episode, stack_episodes,
                           synth_benchmark)
 from hospgnn.errors import NumericError, ShapeError
+from hospgnn.graph import stack_channels
 from hospgnn.model import ModelConfig, forward, init_params
 
 
@@ -831,17 +832,21 @@ def chain_stack(parts, complement):
 
 
 def chain_normalize(e):
-    sums = T.tensor_sum(e, axis=2, keepdims=True)
+    sums = T.tensor_sum(e, axis=-1, keepdims=True)
     dead = sums.data < EPS
     keep = T.Tensor((~dead).astype(e.dtype))
     return T.div(T.mul(e, keep), T.add(sums, T.Tensor(dead.astype(e.dtype))))
 
 
 def chain_rescale(a, e):
-    row_mass = T.tensor_sum(e, axis=1, keepdims=True)
+    row_mass = T.tensor_sum(e, axis=-2, keepdims=True)
     scaled = T.mul(a, e)
-    mean = T.div(T.tensor_sum(scaled, axis=1, keepdims=True), row_mass)
+    mean = T.div(T.tensor_sum(scaled, axis=-2, keepdims=True), row_mass)
     return T.div(scaled, mean)
+
+
+def chain_evolve(parts, complement, e):
+    return chain_normalize(chain_rescale(chain_stack(parts, complement), e))
 
 
 def chain_pool(w, sources, tail):
@@ -909,8 +914,7 @@ def fused_cases(rng, c, dtype=np.float64, dead=True):
 
     x, y = tensor((M, M), 0.1, 0.9), tensor((M, M), 0.1, 0.9)
     parts, complement = [x, y, y][:c], (c - 1,)
-    norm_e = edges()
-    aff, resc_e = tensor((M, M, c), 0.1, 0.9), edges()
+    norm_e, evolve_e = edges(), edges()
     pool_w = edges()
     u, v, tail = tensor((M, 3)), tensor((M, 2)), tensor((M, 4))
     sources = [v, u, u][:c]
@@ -926,10 +930,10 @@ def fused_cases(rng, c, dtype=np.float64, dead=True):
          weights((M, M, c))),
         ("normalize_last", lambda: T.normalize_last(norm_e, EPS),
          lambda: chain_normalize(norm_e), [norm_e], weights((M, M, c))),
-        ("edge_rescale",
-         lambda: T.edge_rescale(aff, resc_e, ("x",) * c, EPS),
-         lambda: chain_rescale(aff, resc_e), [aff, resc_e],
-         weights((M, M, c))),
+        ("evolve_edges",
+         lambda: T.evolve_edges(parts, evolve_e, complement, ("x",) * c, EPS),
+         lambda: chain_evolve(parts, complement, evolve_e),
+         [*dict.fromkeys(parts), evolve_e], weights((M, M, c))),
         ("pool_channels", lambda: T.pool_channels(pool_w, sources, tail),
          lambda: chain_pool(pool_w, sources, tail),
          [pool_w, *dict.fromkeys(sources), tail],
@@ -952,7 +956,7 @@ def standardize_case(rng, dtype=np.float64):
             T.Tensor(rng.normal(size=(7, 4)).astype(dtype)))
 
 
-FUSED = ["stack_last", "normalize_last", "edge_rescale", "pool_channels",
+FUSED = ["stack_last", "normalize_last", "evolve_edges", "pool_channels",
          "readout_ce", "pair_mean_product"]
 
 
@@ -967,7 +971,7 @@ class TestFusedLayerOps:
     def test_standardize_matches_per_op_chain(self):
         compare_with_chain(*standardize_case(np.random.default_rng(21)))
 
-    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("c", [1, 2, 3])
     @pytest.mark.parametrize("name", FUSED)
     def test_grad_check(self, name, c):
         # no dead pair: a step off an all-zero pair revives it
@@ -999,6 +1003,80 @@ class TestFusedLayerOps:
                 tape.backward(T.tensor_sum(out))
             assert out.dtype == np.float32
             assert all(x.grad.dtype == np.float32 for x in inputs)
+
+
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    def test_evolve_edges_float32_in_float32_out(self, c):
+        case = {n: rest for n, *rest in fused_cases(
+            np.random.default_rng(33 + c), c, np.float32)}["evolve_edges"]
+        fused, _, inputs, _ = case
+        with T.Tape() as tape:
+            out = fused()
+            tape.backward(T.tensor_sum(out))
+        assert out.dtype == np.float32
+        assert all(x.grad.dtype == np.float32 for x in inputs)
+
+
+CHANNEL_NAMES = ("relative", "similar", "dissimilar")
+
+
+def evolve_inputs(rng, lead, m, channel_first=False):
+    """Relative and pair scores and three-channel edges over ``lead``
+    episodes of m vertices: the edges channel-last, or a channel-last
+    view of a channel-first array, as a layer's output is."""
+    rel, pair = (t(rng.uniform(0.05, 0.95, size=lead + (m, m)))
+                 for _ in "rp")
+    raw = rng.uniform(0.1, 1.0, size=lead + (3, m, m))
+    raw[..., 1, 3] = 0.0   # a dead pair
+    e = (np.moveaxis(raw, -3, -1) if channel_first
+         else np.ascontiguousarray(np.moveaxis(raw, -3, -1)))
+    return [rel, pair, pair], t(e)
+
+
+class TestEvolveEdges:
+    @pytest.mark.parametrize("channel_first", [False, True],
+                             ids=["channel_last", "channel_first"])
+    @pytest.mark.parametrize("lead,m", [((), 80), ((), 160), ((3,), 24)],
+                             ids=["m80", "m160", "stacked"])
+    def test_matches_chain(self, lead, m, channel_first):
+        rng = np.random.default_rng(40 + m)
+        parts, e = evolve_inputs(rng, lead, m, channel_first)
+        weights = T.Tensor(rng.normal(size=e.shape))
+        compare_with_chain(
+            lambda: T.evolve_edges(parts, e, (2,), CHANNEL_NAMES, EPS),
+            lambda: chain_evolve(parts, (2,), e), [parts[0], parts[1], e],
+            weights)
+
+    @pytest.mark.parametrize("what", ["mass", "affinity"])
+    def test_stacked_failure_names_the_episode(self, what):
+        parts, e = evolve_inputs(np.random.default_rng(43), (3,), 9)
+        if what == "mass":
+            e.data[2, 4, :, 1] = 0.0
+            message = ("edge update: zero total weight on episode 2, row 4, "
+                       "channel 'similar'")
+        else:
+            parts[1].data[2, 4] = 1e-15
+            message = ("edge update: vanishing affinity mass on episode 2, "
+                       "row 4, channel 'similar'")
+        with pytest.raises(NumericError, match=f"^{message}$"):
+            T.evolve_edges(parts, e, (2,), CHANNEL_NAMES, EPS)
+
+    def test_output_is_a_channel_last_view_of_its_planes(self):
+        parts, e = evolve_inputs(np.random.default_rng(44), (2,), 7)
+        out = T.evolve_edges(parts, e, (2,), CHANNEL_NAMES, EPS).data
+        assert out.shape == e.shape
+        planes = T._channel_planes(out)
+        assert planes.flags.c_contiguous
+        assert np.shares_memory(planes, out)
+
+    def test_recorded_call_keeps_no_full_size_array_but_its_output(self):
+        parts, e = evolve_inputs(np.random.default_rng(45), (2,), 9)
+        with T.Tape() as tape:
+            out = T.evolve_edges(parts, e, (2,), CHANNEL_NAMES, EPS)
+        kept = closure_arrays(tape)
+        assert kept
+        assert all(arr.size < e.size or np.shares_memory(arr, out.data)
+                   for arr in kept)
 
 
 C5_CFG = ModelConfig(feature_dim=16, hidden_dim=32, use_encoder=False,
@@ -1053,7 +1131,8 @@ class TestReleasedGradients:
         graph = forward(step_episode(shape, count),
                         init_params(C5_CFG, seed=3))
         rng = np.random.default_rng(9)
-        for stack, edges in zip(graph.affinities, graph.edges):
+        for (rel, pair), edges in zip(graph.scores, graph.edges):
+            stack = stack_channels(graph.channels, rel, pair)
             w = T.Tensor(rng.normal(size=stack.shape[:-3] + stack.shape[-1:]))
             results = []
             for op in (T.pair_mean_product, chain_pair_mean_product):
