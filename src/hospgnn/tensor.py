@@ -708,7 +708,9 @@ def symmetric_from_pairs(s, m):
 # scratch and keeps no (N, h) array for backward either: its block
 # kernel's VJP rebuilds each block's hidden activations in scratch.
 # Calls that span more than one block take a second path: ``mlp_scores``
-# on rows one wide runs on a table of the net's linear pieces, and
+# on rows one wide runs on a table of the net's linear pieces, built once
+# per weight set and range (``_piece_table``) and read per row, and keeps
+# each row's cell (N integers), no (N, h) array, for backward; and
 # ``pair_distances`` takes each episode's Gram product, with explicit row
 # differences for its near pairs only, one block of them at a time.
 BLOCK_ROWS = 1024
@@ -831,17 +833,28 @@ def _cells(points, lo, hi):
     return bounds, bounds[:-1] + 0.5 * (bounds[1:] - bounds[:-1])
 
 
-def _pieces(reads, net, slope):
-    """The scalar-input net read at each of ``reads``: both layers'
-    leaky-ReLU factors, by the block kernel's rule (``slope`` below 0,
-    1 elsewhere), and the layer-1 pre-activation as a x + c, exact over
-    the cell around each read where those factors hold."""
+def _factors(negative, slope):
+    """The leaky-ReLU factors of a mask of negative pre-activations."""
+    return _leaky_factors(negative, slope, np.empty(negative.shape))
+
+
+def _layer1(f0, net):
+    """The layer-1 pre-activation a x + c on cells whose layer-0 factors
+    are the rows of ``f0``."""
     w0, b0, w1, b1 = net[:4]
-    f0 = np.where(np.outer(reads, w0) + b0 < 0, slope, 1.0)
-    a = (f0 * w0) @ w1
-    c = (f0 * b0) @ w1 + b1
-    f1 = np.where(a * reads[:, None] + c < 0, slope, 1.0)
-    return f0, a, c, f1
+    return (f0 * w0) @ w1, (f0 * b0) @ w1 + b1
+
+
+def _pieces(reads, net, slope):
+    """The scalar-input net read at each of ``reads``: both layers' masks
+    of negative pre-activations, whose factors follow the block kernel's
+    rule (``slope`` below 0, 1 elsewhere), and the layer-1 pre-activation
+    as a x + c, exact over the cell around each read where those masks
+    hold."""
+    w0, b0 = net[:2]
+    negative0 = np.outer(reads, w0) + b0 < 0
+    a, c = _layer1(_factors(negative0, slope), net)
+    return negative0, a, c, a * reads[:, None] + c < 0
 
 
 def _row_cells(rows, points):
@@ -854,43 +867,100 @@ def _row_cells(rows, points):
     return cells
 
 
-def _table_scores(rows, weights, slope):
-    """``_block_scores`` for (N,) scalar ``rows``, from a table of the
-    net's linear pieces.
+def _range_end(v):
+    """0, or the power of two of ``v``'s sign at or beyond ``v`` (the
+    largest float beyond 2^1023): the ends of a table's range."""
+    if v == 0:
+        return 0.0
+    m, e = math.frexp(abs(v))   # |v| = m 2^e with 0.5 <= m < 1
+    if m == 0.5:
+        e -= 1
+    end = math.ldexp(1.0, e) if e < 1024 else np.finfo(np.float64).max
+    return math.copysign(end, v)
+
+
+# a table's cut points, each cell's z = alpha x + beta in the rows'
+# dtype, and each cell's masks of negative layer-0 and layer-1
+# pre-activations, which with the weights give every (cells, h) array
+# the VJP needs
+PieceTable = collections.namedtuple(
+    "PieceTable", ["points", "alpha", "beta", "negative0", "negative1"])
+
+# piece tables kept for reuse, least recently used out first. A model
+# scoring episodes reads one table per metric net (two per layer) and
+# range; pair distances put each net's rows in one or two power-of-two
+# ranges, so a three-layer model reads at most 12, which this bound
+# keeps warm. A table of C cells holds 2 C h bytes of masks and its key
+# the weights' bytes, about 8 h^2: some 15 kB a table at h = 32.
+TABLE_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _piece_table(slope, lo, hi, dtype, *net):
+    """The ``PieceTable`` of the net whose six float64 arrays (layer-0
+    weights and biases, layer-1 weights and biases, head weights and
+    bias) have the bytes ``net``, over the rows' range [lo, hi], with
+    alpha and beta in ``dtype``: a pure function of its arguments, so a
+    call's table does not depend on the calls before it.
 
     Two leaky-ReLU layers make the net piecewise linear in its input.
     The layer-0 kinks, and the layer-1 kinks within each layer-0 cell,
-    cut the rows' range into cells; each kink is a cell of its own, as
-    a row on it (the zero row of the diagonal when all layer-0 biases
-    are 0) takes the factors of a pre-activation of exactly 0. On cell
-    k, z = alpha[k] x + beta[k], and the VJP sums the output gradient
-    per cell to get every weight gradient from (cells, h) tables."""
-    dtype = rows.dtype
-    net = tuple(np.asarray(w, dtype=np.float64) for w in (
-        weights[0][0], *weights[1:4], weights[4][:, 0], weights[5][0]))
-    w0, b0, w1, _, w2, b2 = net
-    lo, hi = float(rows.min()), float(rows.max())
+    cut [lo, hi] into cells; each kink is a cell of its own, as a row on
+    it (the zero row of the diagonal when all layer-0 biases are 0)
+    takes the factors of a pre-activation of exactly 0."""
+    w0, b0, w1, b1, w2, b2 = (np.frombuffer(b) for b in net)
+    net = w0, b0, w1.reshape(w0.size, b1.size), b1, w2, b2[0]
     first = _distinct(_kinks(w0, b0, lo, hi))
     bounds, reads = _cells(first, lo, hi)
     _, a, c, _ = _pieces(reads, net, slope)
     points = _distinct(np.concatenate(
         [first, _kinks(a, c, bounds[:-1, None], bounds[1:, None])]))
     reads = _cells(points, lo, hi)[1]
-    f0, a, c, f1 = _pieces(reads, net, slope)
-    alpha = ((f1 * a) @ w2).astype(dtype)
-    beta = ((f1 * c) @ w2 + b2).astype(dtype)
-    cells = _row_cells(rows, points)
-    z = alpha[cells]
+    negative0, a, c, negative1 = _pieces(reads, net, slope)
+    f1 = _factors(negative1, slope)
+    table = PieceTable(points, ((f1 * a) @ w2).astype(dtype),
+                       ((f1 * c) @ w2 + b2[0]).astype(dtype), negative0,
+                       negative1)
+    # every call with this key reads these arrays
+    for array in table:
+        array.flags.writeable = False
+    return table
+
+
+def _table_scores(rows, weights, slope):
+    """``_block_scores`` for (N,) scalar ``rows``, from the
+    ``_piece_table`` of the net's linear pieces over the rows' range
+    rounded out to powers of two. On cell k, z = alpha[k] x + beta[k],
+    and the VJP sums the output gradient per cell to get every weight
+    gradient from (cells, h) tables. A non-finite row scores NaN, as in
+    the block kernel, and the table spans the finite rows."""
+    net = tuple(np.asarray(w, dtype=np.float64) for w in (
+        weights[0][0], *weights[1:4], weights[4][:, 0], weights[5][0]))
+    lo, hi, finite = rows.min(), rows.max(), None
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        finite = np.isfinite(rows)
+        rows = np.where(finite, rows, 0)
+        lo, hi = rows.min(), rows.max()
+    table = _piece_table(slope, _range_end(float(min(lo, 0))),
+                         _range_end(float(max(hi, 0))), rows.dtype.str,
+                         *(w.tobytes() for w in net))
+    cells = _row_cells(rows, table.points)
+    z = table.alpha[cells]
     z *= rows
-    z += beta[cells]
+    z += table.beta[cells]
+    if finite is not None:
+        z[~finite] = np.nan
 
     def vjp(gz, want_x):
         # per cell, the sums of gz and of gz x; on cell k the layer-1
         # activation is f1 (a x + c), and a row's gradient with respect
         # to the layer-1 (layer-0) pre-activation is gz q (gz r)
-        cells = _row_cells(rows, points)
-        g = np.bincount(cells, weights=gz, minlength=reads.size)
-        gh = np.bincount(cells, weights=gz * rows, minlength=reads.size)
+        w0, b0, w1, _, w2, _ = net
+        g = np.bincount(cells, weights=gz, minlength=table.alpha.size)
+        gh = np.bincount(cells, weights=gz * rows, minlength=g.size)
+        f0 = _factors(table.negative0, slope)
+        f1 = _factors(table.negative1, slope)
+        a, c = _layer1(f0, net)
         q = f1 * w2
         r = f0 * (q @ w1.T)
         grads = (gh @ r, g @ r,
@@ -899,7 +969,7 @@ def _table_scores(rows, weights, slope):
                  gz.sum())
         grads = [np.asarray(v, dtype=w.dtype).reshape(w.shape)
                  for v, w in zip(grads, weights)]
-        gx = (gz * alpha[cells])[:, None] if want_x else None
+        gx = (gz * table.alpha[cells])[:, None] if want_x else None
         return gx, grads
 
     return z, vjp
@@ -923,14 +993,23 @@ def mlp_scores(x, w0, b0, w1, b1, w2, b2, slope=0.01, margin=0.0):
     - all other calls (one block at most, or rows wider than one) run
       the block kernel (``_block_scores``) through block scratch only.
 
+    A table is keyed by value: the six weights' bytes, ``slope``, the
+    rows' dtype, and the rows' range rounded out to powers of two, 0
+    included. Each process keeps the TABLE_CACHE_SIZE tables it read
+    last, so calls with the same weights (a fixed model scoring
+    episodes) build each table once, and a call's values do not depend
+    on the calls before it. The table path scores a non-finite row NaN,
+    as the block kernel does unless every infinity in the net shares a
+    sign, and reads the other rows on the finite rows' range.
+
     For backward a recorded call keeps the input rows, the head values
     and a copy of the six weights, nothing of size N times a hidden
-    width; the table path also keeps its table, a few (cells, h)
-    arrays. The block kernel's VJP rebuilds each block's two hidden
-    activations and their masks of negative inputs from these, bit for
-    bit as the forward computed them, and the table path's VJP finds
-    each row's cell again; the copy keeps an in-place weight edit made
-    before backward out of the gradient.
+    width; the table path also keeps each row's cell (N integers) and
+    the table, and its VJP rebuilds a few (cells, h) arrays from the
+    table's masks and the weights. The block kernel's VJP rebuilds each
+    block's two hidden activations and their masks of negative inputs,
+    bit for bit as the forward computed them. The copy keeps an
+    in-place weight edit made before backward out of the gradient.
     """
     inputs = tuple(_as_tensor(t) for t in (x, w0, b0, w1, b1, w2, b2))
     x, head_w = inputs[0], inputs[5]

@@ -276,8 +276,10 @@ def _serve(conn, inherited):
     """A worker's loop: receive (share tag, model config, parameter
     arrays, groups, further arguments), reply with what the share
     function the tag names gives, until the parent closes its end of
-    the pipe (or dies). ``inherited`` are the parent's ends of every
-    worker's pipe, this one's included, which the fork copied."""
+    the pipe (or dies). An array sent as None is the one this worker
+    last received under that name. ``inherited`` are the parent's ends
+    of every worker's pipe, this one's included, which the fork
+    copied."""
     import signal
 
     # an interrupt reaches the whole process group; the parent handles it
@@ -286,14 +288,17 @@ def _serve(conn, inherited):
     # end of file once the parent closes its end or dies
     for end in inherited:
         end.close()
+    held = {}
     while True:
         try:
             tag, config, arrays, groups, args = conn.recv()
         except EOFError:
             return
+        held = {name: held[name] if arr is None else arr
+                for name, arr in arrays.items()}
         params = ModelParams(config, {
             name: T.Tensor(arr, requires_grad=True)
-            for name, arr in arrays.items()})
+            for name, arr in held.items()})
         conn.send(globals()[tag](groups, params, *args))
 
 
@@ -332,6 +337,7 @@ class _Workers:
         self.lock = threading.Lock()   # one call's exchange at a time
         self.procs = []
         self.conns = []   # the parent's end of each worker's pipe
+        self.held = []    # the value of each array each worker holds
 
     def start(self, count):
         """The pipes of the first ``count`` workers, started as needed;
@@ -351,6 +357,7 @@ class _Workers:
                 there.close()
                 self.procs.append(proc)
                 self.conns.append(here)
+                self.held.append({})
             # registered after the exit hook multiprocessing registers
             # when it starts its first process, so this one runs first
             # and the workers leave on end of file, not terminated
@@ -370,7 +377,7 @@ class _Workers:
             if proc.is_alive():
                 proc.kill()
                 proc.join()
-        self.procs, self.conns = [], []
+        self.procs, self.conns, self.held = [], [], []
 
     def run(self, tag, groups, params, workers, *args):
         """What the share function named ``tag`` gives each group, in
@@ -379,24 +386,33 @@ class _Workers:
         ``groups[k::shares]``; the caller runs share 0 while worker k
         runs share k. With one share the caller runs every group, and
         neither takes the lock nor touches a worker. Only the name is
-        sent; each side looks it up in this module at call time. Every
-        group runs the same arithmetic on either side, so what comes
-        back does not depend on ``workers``. The lowest-index failing
-        group's exception is raised, as one share would raise it. Every
-        reply is read before that; on any other failure or an interrupt
-        the workers are closed, so no reply outlives its call."""
+        sent; each side looks it up in this module at call time. A
+        parameter array goes to a worker only when its dtype, shape or
+        bytes differ from those the worker was last sent, and as None
+        otherwise; a started or replaced worker holds none. Every group
+        runs the same arithmetic on either side, so what comes back does
+        not depend on ``workers``. The lowest-index failing group's
+        exception is raised, as one share would raise it. Every reply is
+        read before that; on any other failure or an interrupt the
+        workers are closed, so no reply outlives its call."""
         share = globals()[tag]
         shares = min(workers, len(groups))
         if shares == 1:
             results = [share(groups, params, *args)]
         else:
-            arrays = {name: p.data for name, p in params.tensors.items()}
             with self.lock:
+                values = {name: (p.dtype, p.shape, p.data.tobytes())
+                          for name, p in params.tensors.items()}
                 try:
                     conns = self.start(shares - 1)
                     for k, conn in enumerate(conns, 1):
+                        held = self.held[k - 1]
+                        arrays = {name: None if held.get(name) == value
+                                  else params.t(name).data
+                                  for name, value in values.items()}
                         conn.send((tag, params.config, arrays,
                                    groups[k::shares], args))
+                        self.held[k - 1] = values
                     results = [share(groups[::shares], params, *args)]
                     for conn in conns:
                         try:

@@ -801,3 +801,57 @@ class TestLargeEpisodes:
 
         errs = T.grad_check_groups(run, params.tensors, epsilon=1e-5)
         assert max(errs.values()) < 1e-4, errs
+
+
+class TestPieceTables:
+    """A fixed model reads each metric net's piece table from the cache
+    after the first episode; what it reads must be what a fresh build
+    gives, and the cache must not grow with the run."""
+
+    @pytest.mark.parametrize("shape", [(5, 1, 15), (8, 5, 15)])   # M = 80, 160
+    def test_cold_and_warm_tables_give_the_same_step_bitwise(self, shape):
+        from test_acceptance import C5_MODEL
+
+        pool = synth_clusters(8, 20, 16, sep=6.0, seed=51)
+        params = init_params(ModelConfig(**C5_MODEL), seed=4)
+        offset = make_rng(52, 0)
+        for p in params.values():
+            p.data += 0.05 * offset.standard_normal(p.shape)
+        episodes = [sample_episode(pool, *shape, rng=make_rng(53, k))
+                    for k in range(2)]
+
+        def run(episode):
+            edges = [e.data.copy() for e in forward(episode, params).edges]
+            grads = step_grads(params, episode)
+            return edges, np.concatenate([g.reshape(-1)
+                                          for g in grads.values()])
+
+        cold = []
+        for episode in episodes:
+            T._piece_table.cache_clear()
+            cold.append(run(episode))
+        T._piece_table.cache_clear()
+        run(episodes[0])
+        hits = T._piece_table.cache_info().hits
+        for episode, (edges, grads) in zip(episodes, cold):
+            got_edges, got_grads = run(episode)
+            assert all(np.array_equal(a, b) for a, b in zip(got_edges, edges))
+            assert np.array_equal(got_grads, grads)
+        assert T._piece_table.cache_info().hits > hits
+
+    def test_training_keeps_the_cache_within_its_bound(self):
+        from hospgnn.train import TrainConfig, train
+        from test_acceptance import C5_MODEL
+
+        # 5-way 1-shot 9-query: M = 50, whose 1226 pair rows run the
+        # tables; every step's new weights are new keys
+        pool = synth_clusters(6, 20, 16, sep=3.0, seed=54)
+        cfg = TrainConfig(model=ModelConfig(**C5_MODEL), n_way=5, k_shot=1,
+                          n_query=9, batch_episodes=1, total_iterations=20,
+                          eval_every=5, eval_episodes=1, seed=5)
+        assert T.pair_rows(50) > T.BLOCK_ROWS
+        T._piece_table.cache_clear()
+        train(pool, pool, cfg, workers=1)
+        info = T._piece_table.cache_info()
+        assert info.misses >= 20 * 2 * C5_MODEL["layers"]
+        assert info.currsize <= T.TABLE_CACHE_SIZE

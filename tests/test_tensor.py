@@ -1,4 +1,5 @@
 import gc
+import sys
 import threading
 import tracemalloc
 import weakref
@@ -622,6 +623,113 @@ class TestPieceTable:
             else:
                 with pytest.raises(AssertionError, match="block kernel"):
                     scores_and_grads(T.mlp_scores, x, weights, g, 0.01)
+
+    def test_non_finite_rows_score_nan_and_leave_the_others(self):
+        # the table spans the finite rows; a NaN or infinite row scores
+        # NaN, as the block kernel's arithmetic scores it
+        rng = np.random.default_rng(16)
+        x = 3.0 * np.abs(rng.normal(size=2000))
+        weights = tuple(w.data for w in score_weights(rng, 1, 8))
+        bad = [5, 700, 1999]
+        for value in (np.nan, np.inf, -np.inf):
+            rows = x.copy()
+            rows[bad] = value
+            good = np.isfinite(rows)
+            got = T._table_scores(rows, weights, 0.01)[0]
+            # the block kernel's inf - inf raises "invalid value"
+            with np.errstate(invalid="ignore"):
+                want = T._block_scores(rows[:, None], weights, 0.01)[0]
+            assert np.isnan(got[bad]).all() and np.isnan(want[bad]).all()
+            assert np.abs(got[good] - want[good]).max() <= 1e-12 * max(
+                1.0, np.abs(want[good]).max())
+
+    def test_non_finite_rows_give_nan_gradients_without_warnings(self):
+        rng = np.random.default_rng(17)
+        x = 3.0 * np.abs(rng.normal(size=(T.BLOCK_ROWS + 9, 1)))
+        x[3] = np.nan
+        weights = score_weights(rng, 1, 8)
+        scores, grads = scores_and_grads(T.mlp_scores, t(x), weights,
+                                         rng.normal(size=x.shape[0]), 0.01)
+        assert np.isnan(scores[3]) and np.isfinite(np.delete(scores, 3)).all()
+        assert all(np.isnan(g).any() for g in grads[1:])
+
+    def test_table_key_rounds_the_range_out_to_powers_of_two(self):
+        assert [T._range_end(v) for v in (0.0, 1.0, 3.0, 4.0, 0.3, -5.0)] \
+            == [0.0, 1.0, 4.0, 4.0, 0.5, -8.0]
+        assert T._range_end(1e308) == np.finfo(np.float64).max
+
+    def test_warm_table_gives_the_cold_tables_values_bitwise(self):
+        rng = np.random.default_rng(18)
+        weights = score_weights(rng, 1, 8)
+        n = 2 * T.BLOCK_ROWS + 37
+        # 3.0 and 2.5 times |normal| share a range, [0, 16]; 0.1 times
+        # it does not
+        x = [np.abs(rng.normal(size=(n, 1))) * s for s in (3.0, 2.5, 0.1)]
+        g = rng.normal(size=n)
+        cold = []
+        for rows in x:
+            T._piece_table.cache_clear()
+            cold.append(scores_and_grads(T.mlp_scores, t(rows), weights, g,
+                                         0.01))
+        T._piece_table.cache_clear()
+        for _ in range(2):
+            for rows, (want, want_grads) in zip(x, cold):
+                got, got_grads = scores_and_grads(T.mlp_scores, t(rows),
+                                                  weights, g, 0.01)
+                assert np.array_equal(got, want)
+                for a, b in zip(got_grads, want_grads):
+                    assert np.array_equal(a, b)
+        info = T._piece_table.cache_info()
+        assert (info.misses, info.hits) == (2, 4)
+
+    def test_in_place_weight_edit_changes_the_next_calls_scores(self):
+        rng = np.random.default_rng(19)
+        x = t(np.abs(rng.normal(size=(T.BLOCK_ROWS + 5, 1))))
+        weights = score_weights(rng, 1, 8)
+        before = T.mlp_scores(x, *weights).data
+        for w in weights:
+            w.data[...] *= 0.5
+        after = T.mlp_scores(x, *weights).data
+        want = stored_scores(x, *weights).data
+        assert not np.array_equal(after, before)
+        assert np.abs(after - want).max() <= 1e-12
+        # and back: the first table's scores again, bitwise
+        for w in weights:
+            w.data[...] *= 2.0
+        assert np.array_equal(T.mlp_scores(x, *weights).data, before)
+
+    def test_threads_get_their_single_thread_results(self):
+        # more threads than cores, each cycling through more tables than
+        # the cache keeps
+        rng = np.random.default_rng(20)
+        nets = [score_weights(rng, 1, 8)
+                for _ in range(2 * T.TABLE_CACHE_SIZE)]
+        x = [t(np.abs(rng.normal(size=(T.BLOCK_ROWS + 11, 1))) * s)
+             for s in (1.0, 5.0, 0.2)]
+        T._piece_table.cache_clear()
+        want = [[T.mlp_scores(rows, *w).data for w in nets] for rows in x]
+        got = [None] * len(x)
+
+        def score(k):
+            got[k] = [[T.mlp_scores(x[k], *w).data for w in nets]
+                      for _ in range(3)]
+
+        threads = [threading.Thread(target=score, args=(k,))
+                   for k in range(len(x))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for runs, expected in zip(got, want):
+            for run in runs:
+                assert all(np.array_equal(a, b) for a, b in zip(run, expected))
+        assert T._piece_table.cache_info().currsize <= T.TABLE_CACHE_SIZE
 
 
 def explicit_distances(x):

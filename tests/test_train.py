@@ -539,6 +539,32 @@ def _live_workers():
     return [proc for proc in _WORKERS.procs if proc.is_alive()]
 
 
+class _Recording:
+    """A worker pipe's parent end that adds what it sends to ``sent``."""
+
+    def __init__(self, conn, sent):
+        self.conn, self.sent = conn, sent
+
+    def send(self, message):
+        self.sent.append(message)
+        self.conn.send(message)
+
+    def recv(self):
+        return self.conn.recv()
+
+    def close(self):
+        self.conn.close()
+
+
+def _record_sends():
+    """The list every message to the running worker goes to, until the
+    workers are closed."""
+    sent = []
+    (conn,) = _WORKERS.conns
+    _WORKERS.conns = [_Recording(conn, sent)]
+    return sent
+
+
 class TestEvaluateWorkers:
     """evaluate(workers > 1) runs shares of the groups in worker
     processes; every result and error is that of workers=1."""
@@ -682,6 +708,45 @@ class TestEvaluateWorkers:
                         workers=2) == clean
         (replaced,) = _WORKERS.procs
         assert replaced is not idle and replaced.is_alive()
+
+    def test_unchanged_parameters_are_sent_once(self):
+        pool, cfg, params = _m16_eval_setup()
+        episodes = M16_FOUR_GROUPS
+        clean = evaluate(pool, params, cfg, episodes, seed=6, workers=1)
+        _WORKERS.close()
+        _WORKERS.start(1)
+        sent = _record_sends()
+        try:
+            for _ in range(3):
+                assert evaluate(pool, params, cfg, episodes, seed=6,
+                                workers=2) == clean
+        finally:
+            _WORKERS.close()
+        first, *again = [message[2] for message in sent]
+        assert list(first) == params.names()
+        assert all(first[name] is not None for name in first)
+        assert len(again) == 2 and all(
+            list(arrays) == params.names()
+            and all(a is None for a in arrays.values()) for arrays in again)
+
+    def test_in_place_edit_reaches_the_worker(self):
+        pool, cfg, params = _m16_eval_setup()
+        episodes = M16_FOUR_GROUPS
+        _WORKERS.close()
+        clean = evaluate(pool, params, cfg, episodes, seed=6, workers=2)
+        sent = _record_sends()
+        edited = "layer0.relnet.1.w"
+        params.t(edited).data[...] *= -3.0
+        try:
+            got = evaluate(pool, params, cfg, episodes, seed=6, workers=2)
+        finally:
+            _WORKERS.close()
+        assert got == evaluate(pool, params, cfg, episodes, seed=6,
+                               workers=1)
+        assert got != clean
+        (arrays,) = [message[2] for message in sent]
+        assert [n for n, a in arrays.items() if a is not None] == [edited]
+        assert np.array_equal(arrays[edited], params.t(edited).data)
 
     def test_workers_are_capped_at_the_group_count(self):
         pool, cfg, params = _m16_eval_setup()
