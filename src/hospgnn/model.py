@@ -254,12 +254,10 @@ def metric_scores(params, prefix, feats):
     unordered pair, on the M(M - 1)/2 strict-upper pairs plus one zero
     row for the whole diagonal, as one tape node (``T.mlp_scores``), and
     the scores are spread back symmetrically; the output is exactly
-    symmetric. Distances of more pairs than one row block holds come
-    from each episode's Gram product (explicit row differences for near
-    pairs only) and run on a table of the net's linear pieces, both equal
-    to the explicit and block kernels up to rounding; all other calls
-    (stacked groups of small episodes, absolute differences) run those
-    kernels.
+    symmetric. Distances come from each episode's Gram product (explicit
+    row differences for near pairs only) and run on a table of the net's
+    linear pieces; absolute differences run the block kernel. Episodes of
+    every size, stacked or not, take these same paths.
 
     The margin matters: a raw sigmoid rounds to exactly 1.0 once its
     input passes ~37, and a channel scaled by the complement of a fully

@@ -581,23 +581,21 @@ def pair_distances(a):
     (..., M, d) tensor, in the layout of ``pair_absdiff``: (..., P + 1, 1)
     rows in ``pair_index`` order plus one zero row for the diagonal.
 
-    Two paths, picked from the input's shape alone, as ``mlp_scores``
-    picks. A call of at most one row block of pairs (every stacked group
-    of ``episode_groups``) forms explicit row differences. A larger call
-    takes s = n_i + n_j - 2 G_ij from each episode's norms n and Gram
-    matrix G, both in float64 (float32 inputs are widened; their products
-    are exact there). That identity loses precision catastrophically as
-    s nears 0, so a pair is near, and is recomputed from explicit row
-    differences one row block at a time, unless s > NEAR_PAIR (n_i + n_j)
-    and n_i + n_j is at most a quarter of the input dtype's largest
-    value. Written so, NaN, infinite and overflowing pairs are near too,
-    and near, non-finite and diagonal rows are bitwise the explicit
-    kernel's; duplicate rows give exactly 0. Any other pair gets sqrt(s)
-    cast to the input dtype, with |error of s| <= (2 gamma_d + 3 eps)
-    (n_i + n_j) <= (2 gamma_d + 3 eps) / NEAR_PAIR * s, gamma_d = d eps /
-    (1 - d eps), eps = 2**-53: about 5e-13 relative on s and 2.4e-13 on
-    the distance for d = 32, barring underflow of the products, which the
-    explicit kernel suffers too.
+    Every call takes s = n_i + n_j - 2 G_ij from each episode's norms n
+    and Gram matrix G, both in float64 (float32 inputs are widened; their
+    products are exact there). That identity loses precision
+    catastrophically as s nears 0, so a pair is near, and is recomputed
+    from explicit row differences one row block at a time, unless
+    s > NEAR_PAIR (n_i + n_j) and n_i + n_j is at most a quarter of the
+    input dtype's largest value. Written so, NaN, infinite and
+    overflowing pairs are near too, and near, non-finite and diagonal
+    rows are bitwise the explicit kernel's; duplicate rows give exactly
+    0. Any other pair gets sqrt(s) cast to the input dtype, with
+    |error of s| <= (2 gamma_d + 3 eps) (n_i + n_j) <= (2 gamma_d +
+    3 eps) / NEAR_PAIR * s, gamma_d = d eps / (1 - d eps), eps = 2**-53:
+    about 5e-13 relative on s and 2.4e-13 on the distance for d = 32,
+    barring underflow of the products, which the explicit kernel suffers
+    too.
 
     Backward forms ``sum_j c_ij (a_i - a_j)``, c_ij = c_ji = g_p / d_ij
     for pair p = (i, j), as one product with the (M, M) matrix c; its
@@ -613,16 +611,12 @@ def pair_distances(a):
     pairs = pair_index(m)
     f = a.data.reshape(count, m, d)
     dist = np.empty((count, pair_rows(m)), dtype=f.dtype)
-    if dist.size <= BLOCK_ROWS:
-        dist[:, :-1] = _explicit_distances(np.take(f, pairs.rows, axis=1),
-                                           np.take(f, pairs.cols, axis=1))
-    else:
-        far = _gram_distances(f, pairs, dist[:, :-1])
-        episode, pair = divmod(np.flatnonzero(~far), pairs.rows.size)
-        for rows in row_blocks(pair.size):
-            e, p = episode[rows], pair[rows]
-            dist[e, p] = _explicit_distances(f[e, pairs.rows[p]],
-                                             f[e, pairs.cols[p]])
+    far = _gram_distances(f, pairs, dist[:, :-1])
+    episode, pair = divmod(np.flatnonzero(~far), pairs.rows.size)
+    for rows in row_blocks(pair.size):
+        e, p = episode[rows], pair[rows]
+        dist[e, p] = _explicit_distances(f[e, pairs.rows[p]],
+                                         f[e, pairs.cols[p]])
     # the (0, 0) pair closing each episode's rows: a row minus itself
     dist[:, -1] = _explicit_distances(f[:, 0], f[:, 0])
 
@@ -704,15 +698,11 @@ def symmetric_from_pairs(s, m):
 # rows of an (N, h) activation, or pairs of rows, the pair kernels
 # handle at once: their temporaries stay small, where whole (N, h)
 # temporaries are fresh pages on every call, whose page faults can cost
-# more than the arithmetic on them. ``mlp_scores`` reuses its block
-# scratch and keeps no (N, h) array for backward either: its block
-# kernel's VJP rebuilds each block's hidden activations in scratch.
-# Calls that span more than one block take a second path: ``mlp_scores``
-# on rows one wide runs on a table of the net's linear pieces, built once
-# per weight set and range (``_piece_table``) and read per row, and keeps
-# each row's cell (N integers), no (N, h) array, for backward; and
-# ``pair_distances`` takes each episode's Gram product, with explicit row
-# differences for its near pairs only, one block of them at a time.
+# more than the arithmetic on them. It sizes memory only, never picks a
+# kernel: ``mlp_scores``' block kernel reuses a (BLOCK_ROWS, h) scratch
+# and its VJP rebuilds each block's hidden activations there;
+# ``pair_distances`` recomputes its near pairs one block at a time; and
+# ``episode_groups`` stacks about one block of pairs into a group.
 BLOCK_ROWS = 1024
 
 
@@ -888,10 +878,11 @@ PieceTable = collections.namedtuple(
 
 # piece tables kept for reuse, least recently used out first. A model
 # scoring episodes reads one table per metric net (two per layer) and
-# range; pair distances put each net's rows in one or two power-of-two
-# ranges, so a three-layer model reads at most 12, which this bound
-# keeps warm. A table of C cells holds 2 C h bytes of masks and its key
-# the weights' bytes, about 8 h^2: some 15 kB a table at h = 32.
+# range, and a stacked group's rows share one range: a three-layer model
+# read 7 to 10 tables over 20 ``evaluate`` calls at M = 16 (stacked
+# groups), 80 and 160, which this bound keeps warm. A table of C cells
+# holds 2 C h bytes of masks and its key the weights' bytes, about
+# 8 h^2: some 15 kB a table at h = 32.
 TABLE_CACHE_SIZE = 16
 
 
@@ -984,14 +975,14 @@ def mlp_scores(x, w0, b0, w1, b1, w2, b2, slope=0.01, margin=0.0):
     equal those of the same net built from
     ``matmul``/``add``/``leaky_relu``/``sigmoid``/``mul`` up to
     rounding. The rows of all leading axes together take one of two
-    paths, chosen by shape alone:
+    paths, chosen by their width alone:
 
-    - rows one wide (the pair distance) that span more than one block of
-      BLOCK_ROWS run on a table of the net's linear pieces
-      (``_table_scores``): per row, one search for its cell and one
-      multiply-add, so the cost grows with N, not N times h squared;
-    - all other calls (one block at most, or rows wider than one) run
-      the block kernel (``_block_scores``) through block scratch only.
+    - rows one wide (the pair distance) run on a table of the net's
+      linear pieces (``_table_scores``): per row, one search for its cell
+      and one multiply-add, so the cost grows with N, not N times h
+      squared;
+    - wider rows (the absolute difference) run the block kernel
+      (``_block_scores``) through block scratch only.
 
     A table is keyed by value: the six weights' bytes, ``slope``, the
     rows' dtype, and the rows' range rounded out to powers of two, 0
@@ -1021,7 +1012,7 @@ def mlp_scores(x, w0, b0, w1, b1, w2, b2, slope=0.01, margin=0.0):
         raise ValueError(f"leaky slope must be in [0, 1], got {slope}")
     rows_x = x.data.reshape(-1, x.shape[-1])
     weights = tuple(t.data.copy() for t in inputs[1:])
-    if x.shape[-1] == 1 and rows_x.shape[0] > BLOCK_ROWS:
+    if x.shape[-1] == 1:
         z, backward = _table_scores(rows_x[:, 0], weights, slope)
     else:
         z, backward = _block_scores(rows_x, weights, slope)

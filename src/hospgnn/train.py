@@ -216,11 +216,13 @@ def _resolve_workers(workers):
 def episode_groups(episodes):
     """Same-shape episodes, in order, stacked (``stack_episodes``) into
     groups that each run as one forward pass: as many episodes as fit
-    their ``T.pair_rows`` into one ``T.mlp_scores`` row block, and at
-    least one. So a group's activations stay about one block's, and
-    large episodes run one at a time. A group of one is the episode
-    itself, without the leading axis, so it runs exactly the unbatched
-    arithmetic."""
+    their ``T.pair_rows`` into one ``T.BLOCK_ROWS`` block, and at least
+    one. Small episodes spend their time on each op's dispatch and tape
+    bookkeeping, which a group pays once for all its episodes; the cap
+    keeps a group's per-pair arrays (its pair rows and scores, its
+    (M, M, C) edges) about one block's pairs, and large episodes run one
+    at a time. A group of one is the episode itself, without the leading
+    axis, so it runs exactly the unbatched arithmetic."""
     size = max(1, T.BLOCK_ROWS // T.pair_rows(episodes[0].m))
     chunks = [episodes[i:i + size] for i in range(0, len(episodes), size)]
     return [stack_episodes(c) if len(c) > 1 else c[0] for c in chunks]

@@ -756,8 +756,9 @@ def test_full_loss_gradients_on_small_model(tiny_episode):
 
 class TestLargeEpisodes:
     """The oracle and the gradient check on M = 50 episodes, whose 1226
-    pair rows pass ``BLOCK_ROWS``: the metric nets run their piece
-    tables and the pair distances their Gram products."""
+    pair rows pass ``BLOCK_ROWS``. Episodes of every size take the piece
+    tables and the Gram products; these guard the calls that span
+    several row blocks, whose near pass runs block by block."""
 
     def episode(self, dim, seed):
         pool = synth_clusters(6, 20, dim, sep=3.0, seed=seed)
@@ -808,7 +809,9 @@ class TestPieceTables:
     after the first episode; what it reads must be what a fresh build
     gives, and the cache must not grow with the run."""
 
-    @pytest.mark.parametrize("shape", [(5, 1, 15), (8, 5, 15)])   # M = 80, 160
+    # M = 80 and 160 one episode at a time, M = 16 in stacked groups of
+    # four, as train-m16-semi's batches run
+    @pytest.mark.parametrize("shape", [(5, 1, 15), (8, 5, 15), (2, 5, 3)])
     def test_cold_and_warm_tables_give_the_same_step_bitwise(self, shape):
         from test_acceptance import C5_MODEL
 
@@ -817,8 +820,13 @@ class TestPieceTables:
         offset = make_rng(52, 0)
         for p in params.values():
             p.data += 0.05 * offset.standard_normal(p.shape)
-        episodes = [sample_episode(pool, *shape, rng=make_rng(53, k))
-                    for k in range(2)]
+        count = 4 if shape == (2, 5, 3) else 1
+        episodes = []
+        for k in range(2):
+            rng = make_rng(53, k)
+            drawn = [sample_episode(pool, *shape, rng=rng)
+                     for _ in range(count)]
+            episodes.append(stack_episodes(drawn) if count > 1 else drawn[0])
 
         def run(episode):
             edges = [e.data.copy() for e in forward(episode, params).edges]
@@ -843,15 +851,18 @@ class TestPieceTables:
         from hospgnn.train import TrainConfig, train
         from test_acceptance import C5_MODEL
 
-        # 5-way 1-shot 9-query: M = 50, whose 1226 pair rows run the
-        # tables; every step's new weights are new keys
+        # 5-way 1-shot 9-query, M = 50, one episode a step; then
+        # train-m16-semi's shape, stacked groups of four M = 16 episodes
+        # with 40% of the labels. Every step's new weights are new keys
         pool = synth_clusters(6, 20, 16, sep=3.0, seed=54)
-        cfg = TrainConfig(model=ModelConfig(**C5_MODEL), n_way=5, k_shot=1,
-                          n_query=9, batch_episodes=1, total_iterations=20,
-                          eval_every=5, eval_episodes=1, seed=5)
-        assert T.pair_rows(50) > T.BLOCK_ROWS
-        T._piece_table.cache_clear()
-        train(pool, pool, cfg, workers=1)
-        info = T._piece_table.cache_info()
-        assert info.misses >= 20 * 2 * C5_MODEL["layers"]
-        assert info.currsize <= T.TABLE_CACHE_SIZE
+        for shape in [dict(n_way=5, k_shot=1, n_query=9, batch_episodes=1),
+                      dict(n_way=2, k_shot=5, n_query=3, batch_episodes=4,
+                           label_fraction=0.4)]:
+            cfg = TrainConfig(model=ModelConfig(**C5_MODEL),
+                              total_iterations=20, eval_every=5,
+                              eval_episodes=1, seed=5, **shape)
+            T._piece_table.cache_clear()
+            train(pool, pool, cfg, workers=1)
+            info = T._piece_table.cache_info()
+            assert info.misses >= 20 * 2 * C5_MODEL["layers"]
+            assert info.currsize <= T.TABLE_CACHE_SIZE

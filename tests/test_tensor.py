@@ -463,16 +463,26 @@ def assert_matches_stored(x, weights, g, slope, tol=1e-12):
 
 
 class TestRebuiltActivations:
-    """``mlp_scores`` rebuilds its hidden activations in backward; the
-    result must be what keeping them gave, bit for bit."""
+    """``mlp_scores``' block kernel rebuilds its hidden activations in
+    backward; the result must be what keeping them gave, bit for bit.
+    Rows one wide run on the piece table instead, which must give it
+    within ``assert_matches_stored``' bound."""
 
     @pytest.mark.parametrize("slope", [0.0, 0.01, 1.0])
     @pytest.mark.parametrize("d", [1, 5])
     def test_equals_stored_activation_kernel_bitwise(self, slope, d):
-        # rows one wide take the block kernel only within one block;
-        # wider rows in three row blocks, the last one partial
-        n = T.BLOCK_ROWS if d == 1 else 2 * T.BLOCK_ROWS + 37
+        # rows one wide take the piece table at every size, here a
+        # stacked group of eight M = 16 episodes' pair rows, one block;
+        # wider rows take the block kernel, here in three row blocks, the
+        # last one partial
         rng = np.random.default_rng(6)
+        if d == 1:
+            x = t(rng.normal(size=(8, T.pair_rows(16), 1)))
+            weights = score_weights(rng, 1, 8)
+            assert_matches_stored(x, weights, rng.normal(size=x.shape[:-1]),
+                                  slope)
+            return
+        n = 2 * T.BLOCK_ROWS + 37
         x = t(rng.normal(size=(n, d)))
         weights = score_weights(rng, d, 8)
         g = rng.normal(size=n)
@@ -510,8 +520,8 @@ class TestRebuiltActivations:
     def test_model_step_gradients_bitwise(self, monkeypatch, metric_input,
                                           shape, count):
         # a stacked group of four M = 16 episodes, then M = 80 and 160;
-        # distances of one M = 80 or 160 episode span several row blocks
-        # and run on the piece table, which matches to rounding only
+        # distances run on the piece table at every size, which matches
+        # the stored-activation kernel to rounding only
         ds, _, _ = synth_benchmark(20, 8, 8, per_class=30, dim=16, sep=6.0,
                                    seed=1)
         cfg = ModelConfig(feature_dim=16, hidden_dim=32, use_encoder=False,
@@ -534,9 +544,8 @@ class TestRebuiltActivations:
         monkeypatch.setattr(T, "mlp_scores", stored_scores)
         want = step_grads()
         assert got.keys() == want.keys()
-        table = metric_input == "distance" and count == 1
         for name in want:
-            if table:
+            if metric_input == "distance":
                 bound = 1e-12 * max(1.0, np.abs(want[name]).max())
                 assert np.abs(got[name] - want[name]).max() <= bound, name
             else:
@@ -544,33 +553,37 @@ class TestRebuiltActivations:
 
 
 class TestPieceTable:
-    """Rows one wide that span more than one row block run on a table of
-    the net's linear pieces; it must agree with the block kernel to
-    rounding, kinks included."""
+    """Rows one wide run on a table of the net's linear pieces, whatever
+    their count; it must agree with the block kernel to rounding, kinks
+    included."""
 
     @pytest.mark.parametrize("slope", [0.0, 0.01, 1.0])
     def test_matches_stored_activation_kernel(self, slope):
-        n = 2 * T.BLOCK_ROWS + 37
+        # three row blocks, one M = 16 episode's pair rows, one block
         rng = np.random.default_rng(11)
-        x = t(rng.normal(size=(n, 1)))
-        weights = score_weights(rng, 1, 8)
-        assert_matches_stored(x, weights, rng.normal(size=n), slope)
+        for n in (2 * T.BLOCK_ROWS + 37, T.pair_rows(16), T.BLOCK_ROWS):
+            x = t(rng.normal(size=(n, 1)))
+            weights = score_weights(rng, 1, 8)
+            assert_matches_stored(x, weights, rng.normal(size=n), slope)
 
     @pytest.mark.parametrize("slope", [0.0, 0.01])
     def test_zero_bias_net_on_zero_rows(self, slope):
         # init_params' zero biases put every layer-0 kink at x = 0, where
         # the zero row of each stacked episode's diagonal sits: that row
         # must take the factors of a pre-activation of exactly 0, which
-        # those of the pieces on either side of it (both hold rows) miss
+        # those of the pieces on either side of it (both hold rows) miss.
+        # Three episodes of 700 rows, then 121 rows (one M = 16 episode)
+        # and 8 x 128 (one block)
         rng = np.random.default_rng(12)
-        x = rng.normal(size=(3, 700, 1))
-        x[:, -1] = 0.0
-        x[1, :50] = 0.0
-        weights = score_weights(rng, 1, 8)
-        for b in weights[1:4:2]:
-            b.data[:] = 0.0
-        assert_matches_stored(t(x), weights, rng.normal(size=(3, 700)),
-                              slope)
+        for shape in [(3, 700), (1, T.pair_rows(16)), (8, T.BLOCK_ROWS // 8)]:
+            x = rng.normal(size=shape + (1,))
+            x[:, -1] = 0.0
+            x[len(x) // 2, :50] = 0.0
+            weights = score_weights(rng, 1, 8)
+            for b in weights[1:4:2]:
+                b.data[:] = 0.0
+            assert_matches_stored(t(x), weights, rng.normal(size=shape),
+                                  slope)
 
     def test_zero_input_weight_and_duplicate_kinks(self):
         rng = np.random.default_rng(13)
@@ -609,11 +622,15 @@ class TestPieceTable:
 
         monkeypatch.setattr(T, "_hidden_blocks", block_kernel)
         rng = np.random.default_rng(15)
+        # rows one wide take the table at any count, wider rows the block
+        # kernel at any count
         for shape, table in [((T.BLOCK_ROWS + 1, 1), True),
                              ((2, T.BLOCK_ROWS // 2 + 1, 1), True),
-                             ((T.BLOCK_ROWS, 1), False),
-                             ((2, T.BLOCK_ROWS // 2, 1), False),
+                             ((T.BLOCK_ROWS, 1), True),
+                             ((2, T.BLOCK_ROWS // 2, 1), True),
+                             ((1, 1), True),
                              ((T.BLOCK_ROWS + 1, 2), False),
+                             ((4, 2), False),
                              ((5, 3), False)]:
             x = t(rng.normal(size=shape))
             weights = score_weights(rng, shape[-1], 4)
@@ -789,29 +806,39 @@ def sent_pairs(calls, x):
 
 
 class TestGramDistances:
-    """Pair distances of more pairs than one row block come from one Gram
-    product per episode, with near pairs recomputed from explicit row
-    differences; one-block calls run the explicit kernel alone."""
+    """Pair distances come from one Gram product per episode, at every
+    size, with near pairs recomputed from explicit row differences."""
 
     @pytest.mark.parametrize("offset", [0.0, 1e3, 1e8])
     @pytest.mark.parametrize("d", [1, 16, 32, 64])
     def test_multi_block_values_within_bound(self, d, offset):
+        # pairs of several row blocks (M = 50), a single pair (M = 2, the
+        # smallest call), M = 8, and a stacked one-block group of four
+        # M = 16 episodes
         rng = np.random.default_rng(d)
-        x = clustered_rows(rng, 50, d, offset)
-        got = T.pair_distances(t(x)).data
-        assert got.shape == (T.pair_rows(50), 1)
-        assert T.pair_rows(50) > T.BLOCK_ROWS
-        want = explicit_distances(x)
-        assert np.all(np.abs(got[:, 0] - want) <= gram_bound(d) * want)
+        assert T.pair_rows(50) > T.BLOCK_ROWS >= 4 * T.pair_rows(16)
+        for count, m in [(1, 50), (1, 2), (1, 8), (4, 16)]:
+            x = clustered_rows(rng, count * m, d, offset)
+            if count > 1:
+                x = x.reshape(count, m, d)
+            got = T.pair_distances(t(x)).data
+            assert got.shape == x.shape[:-2] + (T.pair_rows(m), 1)
+            want = explicit_distances(x)
+            assert np.all(np.abs(got.reshape(-1) - want)
+                          <= gram_bound(d) * want)
 
     def test_float32_within_float32_rounding(self, monkeypatch):
+        # several row blocks of pairs, then a stacked one-block group
         calls = record_explicit(monkeypatch)
-        x = np.random.default_rng(21).normal(size=(50, 32)).astype(np.float32)
-        got = T.pair_distances(T.Tensor(x)).data[:, 0]
-        assert got.dtype == np.float32
-        assert sent_pairs(calls, x) == []
-        want = explicit_distances(x.astype(np.float64))
-        assert np.all(np.abs(got - want) <= 2.0 ** -23 * want)
+        rng = np.random.default_rng(21)
+        for shape in [(50, 32), (4, 16, 32)]:
+            calls.clear()
+            x = rng.normal(size=shape).astype(np.float32)
+            got = T.pair_distances(T.Tensor(x)).data.reshape(-1)
+            assert got.dtype == np.float32
+            assert sent_pairs(calls, x) == []
+            want = explicit_distances(x.astype(np.float64))
+            assert np.all(np.abs(got - want) <= 2.0 ** -23 * want)
 
     def test_duplicate_rows_zero_and_close_rows_explicit(self):
         rng = np.random.default_rng(22)
@@ -827,32 +854,28 @@ class TestGramDistances:
         assert got[close].view(np.uint64) == want[close].view(np.uint64)
 
     def test_selection(self, monkeypatch):
+        # one block, flat or stacked, and more than one block: well
+        # separated rows send no pair to the explicit kernel, and one
+        # duplicated row exactly the pairs the near rule flags
         calls = record_explicit(monkeypatch)
         rng = np.random.default_rng(23)
-        # one block, flat or stacked: every pair
-        for shape in [(40, 8), (4, 16, 8)]:
+        for shape in [(40, 8), (4, 16, 8), (50, 32)]:
             calls.clear()
             x = rng.normal(size=shape)
             T.pair_distances(t(x))
+            assert sent_pairs(calls, x) == []
+            calls.clear()
+            x[..., 7, :] = x[..., 3, :]
+            T.pair_distances(t(x))
             p = T.pair_index(shape[-2])
-            assert sent_pairs(calls, x) == row_pairs(x, p.rows, p.cols)
-        # more than one block, well separated: none
-        calls.clear()
-        x = rng.normal(size=(50, 32))
-        T.pair_distances(t(x))
-        assert sent_pairs(calls, x) == []
-        # one duplicated row: exactly the pairs the near rule flags
-        calls.clear()
-        x[7] = x[3]
-        T.pair_distances(t(x))
-        p = T.pair_index(50)
-        norms = (x * x).sum(axis=1)
-        total = norms[p.rows] + norms[p.cols]
-        s = ((x[p.rows] - x[p.cols]) ** 2).sum(axis=1)
-        flagged = np.flatnonzero(~(s > T.NEAR_PAIR * total))
-        assert flagged.tolist() == [np.flatnonzero(
-            (p.rows == 3) & (p.cols == 7))[0]]
-        assert sent_pairs(calls, x) == row_pairs(x, [3], [7])
+            for f in x.reshape((-1,) + shape[-2:]):
+                norms = (f * f).sum(axis=1)
+                total = norms[p.rows] + norms[p.cols]
+                s = ((f[p.rows] - f[p.cols]) ** 2).sum(axis=1)
+                flagged = np.flatnonzero(~(s > T.NEAR_PAIR * total))
+                assert flagged.tolist() == [np.flatnonzero(
+                    (p.rows == 3) & (p.cols == 7))[0]]
+            assert sent_pairs(calls, x) == row_pairs(x, [3], [7])
 
     def test_near_pass_runs_in_row_blocks(self):
         # every pair of 400 coincident rows is near; recomputed in one
@@ -874,22 +897,25 @@ class TestGramDistances:
     def test_non_finite_and_overflowing_rows_explicit(self, dtype, value):
         # rows 0 (the diagonal's row) and 5 hold the value, so pairs of
         # one and of two such rows occur: theirs and the diagonal must be
-        # the explicit kernel's bitwise, NaN payloads included
-        x = np.random.default_rng(24).normal(size=(50, 8)).astype(dtype)
-        x[[0, 5], 2] = value
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = T.pair_distances(T.Tensor(x)).data[:, 0]
-            want = explicit_distances(x)
-            want64 = explicit_distances(x.astype(np.float64))
-        assert got.dtype == want.dtype == dtype
-        p = T.pair_index(50)
-        hit = np.append(np.isin(p.rows, [0, 5]) | np.isin(p.cols, [0, 5]),
-                        True)
-        bits = np.uint64 if dtype == np.float64 else np.uint32
-        assert np.array_equal(got[hit].view(bits), want[hit].view(bits))
-        bound = gram_bound(8) if dtype == np.float64 else 2.0 ** -23
-        got, want64 = got[~hit], want64[~hit]
-        assert np.all(np.abs(got - want64) <= bound * want64)
+        # the explicit kernel's bitwise, NaN payloads included. M = 50
+        # spans several row blocks of pairs, M = 16 one
+        rng = np.random.default_rng(24)
+        for m in (50, 16):
+            x = rng.normal(size=(m, 8)).astype(dtype)
+            x[[0, 5], 2] = value
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = T.pair_distances(T.Tensor(x)).data[:, 0]
+                want = explicit_distances(x)
+                want64 = explicit_distances(x.astype(np.float64))
+            assert got.dtype == want.dtype == dtype
+            p = T.pair_index(m)
+            hit = np.append(np.isin(p.rows, [0, 5]) | np.isin(p.cols, [0, 5]),
+                            True)
+            bits = np.uint64 if dtype == np.float64 else np.uint32
+            assert np.array_equal(got[hit].view(bits), want[hit].view(bits))
+            bound = gram_bound(8) if dtype == np.float64 else 2.0 ** -23
+            got, want64 = got[~hit], want64[~hit]
+            assert np.all(np.abs(got - want64) <= bound * want64)
 
     def test_grad_check_multi_block(self):
         rng = np.random.default_rng(25)
